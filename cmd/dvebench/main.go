@@ -6,7 +6,6 @@
 //	dvebench -experiment fig6 -scale full
 //	dvebench -experiment table1
 //	dvebench -experiment verify         # model-check both protocols
-//	dvebench -experiment bench -scale quick -json BENCH_quick.json
 //	dvebench -experiment fig6 -cpuprofile cpu.out   # then: go tool pprof cpu.out
 package main
 
@@ -25,16 +24,10 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "table1|fig1|fig6|fig7|fig8|fig9|fig10|energy|faults|verify|bench|all")
+		exp      = flag.String("experiment", "all", "table1|fig1|fig6|fig7|fig8|fig9|fig10|energy|faults|verify|all")
 		scale    = flag.String("scale", "standard", "quick|standard|full")
 		parallel = flag.Int("parallel", 8, "concurrent simulations")
-		engine   = flag.String("engine", "", "simulation engine: auto|serial|parallel|legacy; with -experiment bench also \"both\" (the bench default) to measure serial and parallel in one report")
-		jsonOut  = flag.String("json", "", "with -experiment bench: write the perf report to this BENCH_*.json file")
-		check    = flag.String("check", "", "with -experiment bench: compare the fresh run against this committed BENCH_*.json baseline and exit nonzero on regression")
-		checkOps = flag.Float64("check-min-ops", 0.5,
-			"with -check: lowest acceptable fresh/baseline ops-per-sec ratio (wall time is host-dependent; negative disables)")
-		checkAllocs = flag.Float64("check-allocs-growth", 0.25,
-			"with -check: acceptable fractional growth in allocs/op, plus one alloc of absolute slack (negative disables)")
+		engine   = flag.String("engine", "", "partition workers per simulation: auto|serial|parallel")
 		cacheDir = flag.String("cache", "", "result cache directory (empty = no caching)")
 		minHit   = flag.Float64("min-cache-hit", 0, "fail if the cache hit rate ends below this fraction (CI guard)")
 		retries  = flag.Int("retries", 0, "per-cell retry budget")
@@ -59,13 +52,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// -engine both only makes sense for bench (one report, two modes);
-	// experiment matrices run under exactly one mode.
-	if *exp != "bench" {
-		r.Engine, err = dve.ParseEngineMode(*engine)
-		if err != nil {
-			fatal(err)
-		}
+	r.Engine, err = dve.ParseEngineMode(*engine)
+	if err != nil {
+		fatal(err)
 	}
 	var store *results.Store
 	if *cacheDir != "" {
@@ -89,42 +78,6 @@ func main() {
 				100*s.HitRate(), 100**minHit)
 			os.Exit(1)
 		}
-	}
-
-	// bench measures the simulator itself rather than the paper's results;
-	// it is opt-in only (not part of -experiment all).
-	if *exp == "bench" {
-		modes, err := experiments.BenchModes(*engine)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := r.Bench(*scale, modes...)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.FormatBench(rep))
-		if *jsonOut != "" {
-			if err := rep.WriteFile(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		if *check != "" {
-			base, err := perf.LoadReport(*check)
-			if err != nil {
-				fatal(err)
-			}
-			regs := perf.Compare(base, rep, perf.Tolerance{
-				MinOpsRatio:     *checkOps,
-				MaxAllocsGrowth: *checkAllocs,
-			})
-			fmt.Println(perf.FormatRegressions(regs, len(base.Runs)))
-			if len(regs) > 0 {
-				os.Exit(1)
-			}
-		}
-		checkCache()
-		return
 	}
 
 	want := func(name string) bool { return *exp == name || *exp == "all" }

@@ -34,9 +34,7 @@ func main() {
 		coarse  = flag.Bool("coarse", false, "coarse-grain (region) replica directory")
 		oracle  = flag.Bool("oracle", false, "oracular replica directory (Fig 9 ceiling)")
 		baseCmp = flag.Bool("speedup", false, "also run the baseline and report speedup")
-		engineF = flag.String("engine", "auto", "simulation engine: auto|serial|parallel|legacy")
-		serial  = flag.Bool("serial", false, "shorthand for -engine serial")
-		parF    = flag.Bool("parallel", false, "shorthand for -engine parallel")
+		engineF = flag.String("engine", "auto", "partition workers: auto|serial|parallel")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
@@ -83,15 +81,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *serial && *parF {
-		fatal(fmt.Errorf("-serial and -parallel are mutually exclusive"))
-	}
-	if *serial {
-		mode = dve.EngineSerial
-	}
-	if *parF {
-		mode = dve.EngineParallel
-	}
 
 	rc := dve.RunConfig{Cfg: cfg, WarmupOps: *warmup, MeasureOps: *ops,
 		Engine:   mode,
@@ -115,7 +104,7 @@ func main() {
 		if err := tracer.WriteTraceFile(*traceEv); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\ntrace: %d events -> %s (dropped %d)\n",
+		fmt.Printf("trace: %d events -> %s (dropped %d)\n",
 			tracer.Events(), *traceEv, tracer.Dropped())
 	}
 
@@ -148,16 +137,10 @@ func parseProtocol(s string) (topology.Protocol, error) {
 
 func printResult(res *dve.Result) {
 	c := &res.Counters
-	fmt.Printf("workload=%s protocol=%s engine=%s", res.Workload, res.Protocol, res.Engine)
-	if res.Workers > 1 {
-		fmt.Printf(" workers=%d", res.Workers)
-	}
-	fmt.Println()
+	fmt.Printf("workload=%s protocol=%s workers=%d\n", res.Workload, res.Protocol, res.Workers)
 	fmt.Printf("ROI cycles            %d\n", res.Cycles)
-	if res.Counters.EngineEpochs > 0 {
-		fmt.Printf("sync epochs           %d (%d barrier stalls)\n",
-			res.Counters.EngineEpochs, res.Counters.EngineBarrierStalls)
-	}
+	fmt.Printf("sync epochs           %d (%d barrier stalls)\n",
+		res.Counters.EngineEpochs, res.Counters.EngineBarrierStalls)
 	fmt.Printf("ops                   %d (reads %d, writes %d)\n", c.Ops, c.Reads, c.Writes)
 	fmt.Printf("L1 hit rate           %.4f\n", rate(c.L1Hits, c.L1Hits+c.L1Misses))
 	fmt.Printf("LLC hit rate          %.4f  (MPKI %.2f)\n", rate(c.LLCHits, c.LLCHits+c.LLCMisses), c.MPKI())

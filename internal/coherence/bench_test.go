@@ -13,7 +13,7 @@ func BenchmarkDirectoryLookup(b *testing.B) {
 	cfg := topology.Default(topology.ProtoBaseline)
 	const lines = 1 << 14
 	cfg.FootprintHintLines = lines * 2 // both sockets' shares
-	s, err := New(&cfg)
+	s, err := newSystem(&cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func BenchmarkDirectoryLookup(b *testing.B) {
 func BenchmarkDirectoryInsert(b *testing.B) {
 	cfg := topology.Default(topology.ProtoBaseline)
 	cfg.FootprintHintLines = b.N * cfg.Sockets
-	s, err := New(&cfg)
+	s, err := newSystem(&cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -317,8 +317,12 @@ func (d *HomeDir) readFromReplicaMem(l topology.Line, cb func(ok bool)) {
 	})
 }
 
-// dualWriteback synchronously writes dirty data to both the home memory and
-// the replica memory (Section V-B1). done fires when both writes complete.
+// dualWriteback writes dirty data to both the home memory and the replica
+// memory (Section V-B1). The replica write is posted: done may only fire on
+// the home partition, so it follows the home write alone; the replica leg
+// completes behind the FIFO link, which still orders it ahead of any later
+// home-side transaction that could observe the replica copy (such a
+// transaction pays the same link crossing).
 func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 	ra, ok := d.sys.ReplicaAddrOf(l)
 	if !ok {
@@ -327,33 +331,7 @@ func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 	}
 	d.sys.Cnts[d.socket].DualWritebacks++
 	r := d.remoteSocket()
-	if d.sys.Partitioned() {
-		// Partitioned: the replica write is posted. done may only fire on
-		// the home partition, so it follows the home write alone; the
-		// replica leg completes behind the FIFO link, which still orders it
-		// ahead of any later home-side transaction that could observe the
-		// replica copy (such a transaction pays the same link crossing).
-		d.sys.MCs[d.socket].Write(topology.Addr(l), done)
-		d.sys.repairAt(d.socket, topology.Addr(l))
-		d.sys.Link.Send(d.socket, noc.DataBytes, func() {
-			if undeny {
-				if a := d.replicaAgent(); a != nil {
-					a.HomeUndeny(l)
-				}
-			}
-			d.sys.MCs[r].Write(ra, func() {})
-			d.sys.repairAt(r, ra)
-		})
-		return
-	}
-	remaining := 2
-	part := func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
-	d.sys.MCs[d.socket].Write(topology.Addr(l), part)
+	d.sys.MCs[d.socket].Write(topology.Addr(l), done)
 	d.sys.repairAt(d.socket, topology.Addr(l))
 	d.sys.Link.Send(d.socket, noc.DataBytes, func() {
 		if undeny {
@@ -361,7 +339,7 @@ func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 				a.HomeUndeny(l)
 			}
 		}
-		d.sys.MCs[r].Write(ra, part)
+		d.sys.MCs[r].Write(ra, func() {})
 		d.sys.repairAt(r, ra)
 	})
 }

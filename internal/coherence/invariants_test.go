@@ -26,10 +26,10 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 				inflight++
 				s.Access(core, write, a, func() { inflight-- })
 				if i%7 == 0 {
-					s.Engs[0].Run() // interleave drain points
+					s.Drain() // interleave drain points
 				}
 			}
-			s.Engs[0].Run()
+			s.Drain()
 			if inflight != 0 {
 				t.Fatalf("%d accesses never completed", inflight)
 			}

@@ -34,41 +34,46 @@ func NewScrubber(sys *System, interval sim.Cycle, batch int) *Scrubber {
 	}
 }
 
-// Start arms the patrol daemon; it runs until Stop (or the end of the
+// Start arms one patrol daemon per socket; each walks its own socket's
+// directory on its own partition and runs until Stop (or the end of the
 // simulation) without keeping the run alive.
 func (s *Scrubber) Start() {
 	if s.running {
 		return
 	}
 	s.running = true
-	var tick func()
-	tick = func() {
-		if !s.running {
-			return
-		}
-		// Re-arm before issuing the batch: the next tick is then sequenced
-		// after every event this batch schedules at the same future cycle,
-		// so repairs triggered by this interval's patrol reads are already
-		// applied when the next tick re-reads the same lines (instead of
-		// the next tick racing ahead of them in the event order).
-		// The patrol walks every socket's directory from one daemon, so
-		// scrubbing is a legacy-engine feature (partitioned runs fall
-		// back); Engs[0] is that single shared engine.
-		s.sys.Engs[0].ScheduleDaemon(s.interval, tick)
-		for di, d := range s.sys.Dirs {
-			lines := d.KnownLines()
-			if len(lines) == 0 {
-				continue
-			}
-			for i := 0; i < s.batch; i++ {
-				l := lines[s.cursor[di]%len(lines)]
-				s.cursor[di]++
-				s.ScrubbedLines++
-				d.Scrub(l)
-			}
-		}
+	for di := range s.sys.Dirs {
+		s.arm(di)
 	}
-	s.sys.Engs[0].ScheduleDaemon(s.interval, tick)
+}
+
+// arm schedules socket di's next patrol tick.
+func (s *Scrubber) arm(di int) {
+	s.sys.Engs[di].ScheduleDaemon(s.interval, func() { s.tick(di) })
+}
+
+// tick scrubs one batch of socket di's directory.
+func (s *Scrubber) tick(di int) {
+	if !s.running {
+		return
+	}
+	// Re-arm before issuing the batch: the next tick is then sequenced
+	// after every event this batch schedules at the same future cycle, so
+	// repairs triggered by this interval's patrol reads are already applied
+	// when the next tick re-reads the same lines (instead of the next tick
+	// racing ahead of them in the event order).
+	s.arm(di)
+	d := s.sys.Dirs[di]
+	lines := d.KnownLines()
+	if len(lines) == 0 {
+		return
+	}
+	for i := 0; i < s.batch; i++ {
+		l := lines[s.cursor[di]%len(lines)]
+		s.cursor[di]++
+		s.ScrubbedLines++
+		d.Scrub(l)
+	}
 }
 
 // Stop disarms the patrol daemon: the pending tick becomes a no-op and no

@@ -66,16 +66,13 @@ type ReplicaAgent interface {
 // System wires together the cores, caches, directories, memory controllers
 // and interconnect of the simulated machine.
 //
-// The system is partition-aware: Engs holds one engine per socket and Cnts
-// one counter shard per socket. On the legacy single-queue engine every
-// slot aliases the same object, so indexing by socket is free; under a
-// sim.ParallelEngine (PE non-nil) the slots are distinct, every component
-// schedules and counts strictly on its own socket's slot, and the only
-// cross-socket channel is the Link's mailbox path.
+// The system is partitioned at the socket boundary: Engs holds one engine
+// partition per socket and Cnts one counter shard per socket. Every
+// component schedules and counts strictly on its own socket's slot, and the
+// only cross-socket channel is the Link's mailbox path.
 type System struct {
 	Engs []*sim.Engine
-	// PE is the parallel engine that owns Engs as its partitions, or nil
-	// when all Engs slots alias one serial engine.
+	// PE is the parallel engine that owns Engs as its partitions.
 	PE   *sim.ParallelEngine
 	Cfg  *topology.Config
 	AMap *topology.AddrMap
@@ -97,7 +94,7 @@ type System struct {
 	ReplicaMap ReplicaMapper
 
 	// Cnts[s] is socket s's counter shard; Counters() folds the shards
-	// into the run-level view (a plain copy in the aliased legacy case).
+	// into the run-level view.
 	Cnts []*stats.Counters
 
 	// DebugLine/DebugLog: when set, protocol steps touching DebugLine are
@@ -145,18 +142,9 @@ type System struct {
 	accFree [][]*accessReq
 }
 
-// Partitioned reports whether the sockets run on separate engine
-// partitions (in which case all scheduling and counting must stay
-// socket-local and only the Link may cross).
-func (s *System) Partitioned() bool { return s.PE != nil }
-
 // Counters returns the run-level counter view: socket shards folded in
-// ascending socket order (deterministic), or a copy of the single shared
-// object in the legacy aliased case.
+// ascending socket order (deterministic).
 func (s *System) Counters() stats.Counters {
-	if !s.Partitioned() {
-		return *s.Cnts[0]
-	}
 	var out stats.Counters
 	for _, c := range s.Cnts {
 		out.Merge(c)
@@ -212,29 +200,13 @@ func (s *System) RepairNote(socket int, a topology.Addr) {
 	s.repairAt(socket, a)
 }
 
-// New builds a system on the legacy single-queue engine: every Engs/Cnts
-// slot aliases one engine and one counter object. Replica agents are
-// attached afterwards (SetReplicaAgent) to keep this package independent
-// of the Dvé implementation.
-func New(cfg *topology.Config) (*System, error) {
-	eng := sim.NewEngine()
-	engs := make([]*sim.Engine, cfg.Sockets)
-	for i := range engs {
-		engs[i] = eng
-	}
-	cnt := &stats.Counters{}
-	cnts := make([]*stats.Counters, cfg.Sockets)
-	for i := range cnts {
-		cnts[i] = cnt
-	}
-	return build(cfg, engs, cnts, nil)
-}
-
 // NewPartitioned builds a system whose sockets run on the partitions of
 // pe: Engs[s] is partition s, Cnts[s] a distinct per-socket shard, and the
 // inter-socket link crosses partitions through pe's mailbox. pe must have
 // one partition per socket and a lookahead window no larger than the
-// link's minimum latency.
+// link's minimum latency. Replica agents are attached afterwards
+// (SetReplicaAgent) to keep this package independent of the Dvé
+// implementation.
 func NewPartitioned(cfg *topology.Config, pe *sim.ParallelEngine) (*System, error) {
 	if pe.Parts() != cfg.Sockets {
 		return nil, fmt.Errorf("coherence: %d engine partitions for %d sockets", pe.Parts(), cfg.Sockets)
@@ -245,22 +217,14 @@ func NewPartitioned(cfg *topology.Config, pe *sim.ParallelEngine) (*System, erro
 		engs[i] = pe.Part(i)
 		cnts[i] = &stats.Counters{}
 	}
-	s, err := build(cfg, engs, cnts, pe)
-	if err != nil {
-		return nil, err
-	}
-	if w := s.Link.MinLatency(); pe.Window() > w {
-		return nil, fmt.Errorf("coherence: lookahead window %d exceeds link minimum latency %d", pe.Window(), w)
-	}
-	return s, nil
-}
-
-func build(cfg *topology.Config, engs []*sim.Engine, cnts []*stats.Counters, pe *sim.ParallelEngine) (*System, error) {
-	amap := topology.NewAddrMap(cfg)
 	link, err := noc.NewLink([2]*sim.Engine{engs[0], engs[cfg.Sockets-1]}, pe, sim.Cycle(cfg.InterSocketCyc()))
 	if err != nil {
 		return nil, err
 	}
+	if w := link.MinLatency(); pe.Window() > w {
+		return nil, fmt.Errorf("coherence: lookahead window %d exceeds link minimum latency %d", pe.Window(), w)
+	}
+	amap := topology.NewAddrMap(cfg)
 	s := &System{
 		Engs: engs,
 		PE:   pe,
@@ -296,21 +260,20 @@ func build(cfg *topology.Config, engs []*sim.Engine, cnts []*stats.Counters, pe 
 func (s *System) SetReplicaAgent(socket int, a ReplicaAgent) { s.Replicas[socket] = a }
 
 // SetTracer wires a telemetry tracer through every component of the
-// system: the engine's dispatch hook, the inter-socket link, the memory
-// controllers, and the home-directory sequencers. Call it right after New
-// (before replica agents attach — dve's directories pick the tracer up
-// from here). A nil tracer is a no-op, keeping the call unconditional in
-// runners.
+// system: each partition's dispatch hook and clock, the inter-socket link,
+// the memory controllers, and the home-directory sequencers. Call it right
+// after NewPartitioned (before replica agents attach — dve's directories
+// pick the tracer up from here). A nil tracer is a no-op, keeping the call
+// unconditional in runners.
 func (s *System) SetTracer(t *telemetry.Tracer) {
 	if t == nil {
 		return
 	}
-	// A tracer binds one engine and one timeline, so tracing is a
-	// single-engine (legacy) feature; partitioned runs fall back to the
-	// legacy engine before attaching one.
 	s.Trace = t
-	t.Attach(s.Engs[0])
-	s.Engs[0].OnDispatch = t.EngineDispatch
+	t.Attach(s.Engs...)
+	for sk, eng := range s.Engs {
+		eng.OnDispatch = t.EngineDispatch(sk)
+	}
 	s.Link.Trace = t
 	for sk, mc := range s.MCs {
 		mc.Trace = t
@@ -562,11 +525,5 @@ func (s *System) replyFromHome(l topology.Line, toSocket int, bytes int, fn func
 	s.Link.Send(home, bytes, fn)
 }
 
-// Drain runs the engine(s) until all queued demanded events complete.
-func (s *System) Drain() {
-	if s.PE != nil {
-		s.PE.Run()
-		return
-	}
-	s.Engs[0].Run()
-}
+// Drain runs the partitions until all queued demanded events complete.
+func (s *System) Drain() { s.PE.Run() }

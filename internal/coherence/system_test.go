@@ -9,23 +9,34 @@ import (
 	"dve/internal/topology"
 )
 
+// newSystem builds cfg's system on a fresh partitioned engine whose
+// partitions run on one worker (the test fakes below schedule across
+// sockets directly).
+func newSystem(cfg *topology.Config) (*System, error) {
+	pe := sim.NewParallelEngine(cfg.Sockets, sim.Cycle(cfg.InterSocketCyc())+1)
+	pe.SetWorkers(1)
+	return NewPartitioned(cfg, pe)
+}
+
 func newSys(p topology.Protocol) *System {
 	cfg := topology.Default(p)
-	s, err := New(&cfg)
+	s, err := newSystem(&cfg)
 	if err != nil {
 		panic(err)
 	}
 	return s
 }
 
-// access runs one memory operation to completion and returns its latency.
+// access runs one memory operation to completion and returns its latency,
+// measured on the issuing core's socket clock.
 func access(t *testing.T, s *System, core int, write bool, a topology.Addr) sim.Cycle {
 	t.Helper()
-	start := s.Engs[0].Now()
+	eng := s.Engs[s.SocketOf(core)]
+	start := eng.Now()
 	done := false
 	var end sim.Cycle
-	s.Access(core, write, a, func() { done = true; end = s.Engs[0].Now() })
-	s.Engs[0].Run()
+	s.Access(core, write, a, func() { done = true; end = eng.Now() })
+	s.Drain()
 	if !done {
 		t.Fatalf("access to %#x never completed", a)
 	}
@@ -117,7 +128,7 @@ func TestClassification(t *testing.T) {
 	access(t, s, 0, true, 4096) // GETX to I: private-read/write
 	access(t, s, 8, true, 0)    // GETX to S: read/write
 	access(t, s, 0, false, 0)   // GETS to M: read/write
-	c := s.Cnts[0]
+	c := s.Counters()
 	if c.PrivateRead != 1 || c.ReadOnly != 1 || c.PrivateReadWrite != 1 || c.ReadWrite != 2 {
 		t.Fatalf("classes = %d/%d/%d/%d, want 1/1/1/2",
 			c.PrivateRead, c.ReadOnly, c.ReadWrite, c.PrivateReadWrite)
@@ -154,6 +165,8 @@ func TestBaselineFaultIsDUE(t *testing.T) {
 }
 
 // fakeAgent records home-directory interactions for protocol-contract tests.
+// It stands in at socket 1, the replica side of the socket-0-homed lines the
+// tests touch, so its acks run on socket 1's partition.
 type fakeAgent struct {
 	sys         *System
 	invs, fetch int
@@ -166,12 +179,12 @@ func (f *fakeAgent) LocalGETX(l topology.Line, needData bool, done func())     {
 func (f *fakeAgent) LocalPUTM(l topology.Line, done func())                    { done() }
 func (f *fakeAgent) HomeInvalidate(l topology.Line, ack func()) {
 	f.invs++
-	f.sys.Engs[0].Schedule(1, ack)
+	f.sys.Engs[1].Schedule(1, ack)
 }
 func (f *fakeAgent) HomeUndeny(l topology.Line) { f.undeny++ }
 func (f *fakeAgent) HomeFetch(l topology.Line, inv bool, ack func()) {
 	f.fetch++
-	f.sys.Engs[0].Schedule(1, ack)
+	f.sys.Engs[1].Schedule(1, ack)
 }
 func (f *fakeAgent) Drain(done func()) { done() }
 func (f *fakeAgent) DenyMode() bool    { return f.denyMode }
@@ -272,8 +285,9 @@ func TestScrubberFindsLatentErrors(t *testing.T) {
 	}
 	sc := NewScrubber(s, 10_000, 4)
 	sc.Start()
-	// Drive the daemon with RunUntil (no demand events pending).
-	s.Engs[0].RunUntil(s.Engs[0].Now() + 100_000)
+	// Drive the daemons for 100k cycles with one demanded no-op event.
+	s.Engs[0].Schedule(100_000, func() {})
+	s.Drain()
 	if sc.ScrubbedLines == 0 {
 		t.Fatal("scrubber never ran")
 	}

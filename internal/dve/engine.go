@@ -9,31 +9,25 @@ import (
 
 // EngineMode selects how the simulation engine executes a run.
 //
-// The partitioned engine splits the machine at the socket boundary: each
-// socket's events run on their own calendar queue, synchronized at
-// link-latency epochs (conservative lookahead — no cross-socket message
-// can arrive sooner than the link's minimum latency, so partitions may
-// safely run a window of that size without consulting each other). Serial
-// and parallel are the *same* partitioned simulation — they differ only in
-// how many worker goroutines execute the partition queues, and produce
-// byte-identical statistics. Legacy is the original single-queue engine;
-// it interleaves cross-socket events differently (one global tie-break
-// order instead of the mailbox merge rule), so its results are internally
-// consistent but not comparable event-for-event with the partitioned ones.
+// Every run splits the machine at the socket boundary: each socket's events
+// run on their own calendar queue, synchronized at link-latency epochs
+// (conservative lookahead — no cross-socket message can arrive sooner than
+// the link's minimum latency, so partitions may safely run a window of that
+// size without consulting each other). The modes differ only in how many
+// worker goroutines execute the partition queues; the statistics are
+// byte-identical whatever the worker count.
 type EngineMode int
 
 const (
-	// EngineAuto partitions when the configuration allows it and uses
-	// worker goroutines when GOMAXPROCS offers real parallelism.
+	// EngineAuto uses worker goroutines when GOMAXPROCS offers real
+	// parallelism and the run's features allow them.
 	EngineAuto EngineMode = iota
-	// EngineSerial runs the partitioned simulation on one goroutine.
+	// EngineSerial runs the partitions on one goroutine.
 	EngineSerial
-	// EngineParallel runs the partitioned simulation with one worker per
-	// socket even when GOMAXPROCS is 1 (real goroutines, no speedup) —
-	// equivalence and race tests use it to exercise the concurrent path.
+	// EngineParallel runs one worker per socket even when GOMAXPROCS is 1
+	// (real goroutines, no speedup) — equivalence and race tests use it to
+	// exercise the concurrent path.
 	EngineParallel
-	// EngineLegacy forces the original single-queue engine.
-	EngineLegacy
 )
 
 // String returns the flag spelling of the mode.
@@ -45,8 +39,6 @@ func (m EngineMode) String() string {
 		return "serial"
 	case EngineParallel:
 		return "parallel"
-	case EngineLegacy:
-		return "legacy"
 	default:
 		// The zero value is EngineAuto, so any other out-of-range value
 		// was manufactured deliberately.
@@ -63,74 +55,56 @@ func ParseEngineMode(s string) (EngineMode, error) {
 		return EngineSerial, nil
 	case "parallel":
 		return EngineParallel, nil
-	case "legacy":
-		return EngineLegacy, nil
 	}
-	return EngineAuto, fmt.Errorf("dve: unknown engine mode %q (want auto, serial, parallel or legacy)", s)
+	return EngineAuto, fmt.Errorf("dve: unknown engine mode %q (want auto, serial or parallel)", s)
 }
 
-// partitionable reports whether the run can use the per-socket partitioned
-// engine. The disqualifiers are features that inherently bind a single
-// global event order or shared mutable state:
-//   - telemetry tracing attaches one engine and one timeline;
-//   - fault injection, Prepare hooks and RAS campaigns mutate shared fault
-//     state from arbitrary sockets;
-//   - patrol scrubbing walks every socket's directory from one daemon;
+// singleWorker reports whether the run must execute its partitions on one
+// goroutine. The features below share mutable state across sockets, which
+// is safe only when epochs run serially (the mailbox merge rule still fixes
+// the event order, so the results do not depend on this choice):
+//   - telemetry tracing appends to one event buffer and flight recorder;
+//   - fault injection, Prepare hooks and RAS campaigns mutate one fault set
+//     and journal from every socket;
+//   - patrol scrubbing repairs through the shared fault model;
 //   - external op sources are not required to be concurrency-safe;
 //   - the flexible replica map is consulted from both sockets;
-//   - the dynamic protocol's controller samples a global clock;
+//   - the dynamic protocol's controller counts ops and switches the replica
+//     directories of both sockets;
 //   - the oracular replica directory reads remote directory state with
 //     zero latency (a direct cross-partition peek).
-//
-// Such runs silently use the legacy engine instead — same results as every
-// release to date, just without the parallel speedup.
-func partitionable(rc *RunConfig, cfg *topology.Config) bool {
-	return cfg.Sockets == 2 &&
-		cfg.InterSocketCyc() >= 1 &&
-		!cfg.Oracular &&
-		cfg.Protocol != topology.ProtoDynamic &&
-		rc.Telemetry == nil &&
-		rc.Faults == nil &&
-		rc.FaultFn == nil &&
-		rc.Prepare == nil &&
-		rc.ScrubIntervalCyc == 0 &&
-		rc.Source == nil &&
-		rc.ReplicaMap == nil
+func singleWorker(rc *RunConfig, cfg *topology.Config) bool {
+	return cfg.Oracular ||
+		cfg.Protocol == topology.ProtoDynamic ||
+		rc.Telemetry != nil ||
+		rc.Faults != nil ||
+		rc.FaultFn != nil ||
+		rc.Prepare != nil ||
+		rc.ScrubIntervalCyc != 0 ||
+		rc.Source != nil ||
+		rc.ReplicaMap != nil
 }
 
-// resolveEngine decides the executed engine for a requested mode: whether
-// to partition, and with how many worker goroutines.
-func resolveEngine(mode EngineMode, rc *RunConfig, cfg *topology.Config) (partitioned bool, workers int) {
-	if mode == EngineLegacy || !partitionable(rc, cfg) {
-		return false, 1
+// resolveEngine decides how many worker goroutines execute the partitions
+// for a requested mode.
+func resolveEngine(mode EngineMode, rc *RunConfig, cfg *topology.Config) (workers int) {
+	if singleWorker(rc, cfg) {
+		return 1
 	}
 	switch mode {
 	case EngineParallel:
-		return true, cfg.Sockets
+		return cfg.Sockets
 	case EngineSerial:
-		return true, 1
-	case EngineAuto, EngineLegacy:
-		// Legacy was diverted above; auto partitions and spends worker
-		// goroutines only when the host scheduler can actually run them
-		// concurrently (on one CPU they would just add handoff latency).
+		return 1
+	case EngineAuto:
+		// Spend worker goroutines only when the host scheduler can actually
+		// run them concurrently (on one CPU they would just add handoff
+		// latency).
 		if runtime.GOMAXPROCS(0) > 1 {
-			return true, cfg.Sockets
+			return cfg.Sockets
 		}
-		return true, 1
+		return 1
 	default:
 		panic(fmt.Sprintf("dve: invalid EngineMode %d", int(mode)))
 	}
-}
-
-// ExecutedEngine reports the engine family a RunConfig will execute:
-// "partitioned" or "legacy". Cache keys use this label rather than the
-// requested mode because serial and parallel execution of the partitioned
-// engine produce byte-identical results (one universe), while legacy is a
-// separate one.
-func (rc *RunConfig) ExecutedEngine() string {
-	cfg := rc.Cfg
-	if partitioned, _ := resolveEngine(rc.Engine, rc, &cfg); partitioned {
-		return "partitioned"
-	}
-	return "legacy"
 }

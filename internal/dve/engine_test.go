@@ -9,33 +9,31 @@ import (
 	"dve/internal/workload"
 )
 
-// Cross-engine equivalence: the partitioned engine (serial or parallel) is a
-// different *execution* of the same simulation, so it must be byte-identical
-// to itself regardless of worker count, and the legacy fallback must engage
-// exactly when documented. These tests are the contract that lets cache keys
-// treat "partitioned" as one universe.
+// Cross-engine equivalence: serial and parallel are different *executions*
+// of the same partitioned simulation, so they must be byte-identical
+// regardless of worker count. These tests are the contract that lets cache
+// keys ignore the engine mode.
 
 // equivProtocols is every protocol family. Dynamic is included on purpose:
-// it is not partitionable, so both legs fall back to legacy — the identity
-// then pins that the fallback itself is deterministic.
+// it always runs on one worker, so the identity then pins that the forced
+// serial execution is itself deterministic.
 var equivProtocols = []topology.Protocol{
 	topology.ProtoBaseline, topology.ProtoAllow, topology.ProtoDeny,
 	topology.ProtoDynamic, topology.ProtoIntelMirror,
 }
 
 // fingerprint reduces a run to the bytes that must match across engine
-// executions: the ROI length, the executed engine label, the full counter
-// set, and the telemetry snapshot (the CountersSnapshot view that cache
-// envelopes and sweep reports carry). Workers is deliberately excluded —
-// it is host-side cost metadata, the one field allowed to differ.
+// executions: the ROI length, the full counter set, and the telemetry
+// snapshot (the CountersSnapshot view that cache envelopes and sweep
+// reports carry). Workers is deliberately excluded — it is host-side cost
+// metadata, the one field allowed to differ.
 func fingerprint(t *testing.T, res *Result) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
-		Engine   string
 		Cycles   uint64
 		Counters any
 		Metrics  any
-	}{res.Engine, res.Cycles, res.Counters, res.Metrics})
+	}{res.Cycles, res.Counters, res.Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +75,12 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 				serial := runEngine(t, spec, p, EngineSerial, warmup, measure)
 				par := runEngine(t, spec, p, EngineParallel, warmup, measure)
 				if p == topology.ProtoDynamic {
-					// Not partitionable: both legs must have fallen back.
-					if serial.Engine != "legacy" || par.Engine != "legacy" {
-						t.Fatalf("dynamic ran on %s/%s, want legacy fallback",
-							serial.Engine, par.Engine)
+					// Shared controller state: forced onto one worker.
+					if par.Workers != 1 {
+						t.Fatalf("dynamic ran with %d workers, want 1", par.Workers)
 					}
-				} else {
-					if serial.Engine != "partitioned" || par.Engine != "partitioned" {
-						t.Fatalf("engines %s/%s, want partitioned", serial.Engine, par.Engine)
-					}
-					if par.Workers <= 1 {
-						t.Fatalf("parallel ran with %d workers", par.Workers)
-					}
+				} else if par.Workers <= 1 {
+					t.Fatalf("parallel ran with %d workers", par.Workers)
 				}
 				fs, fp := fingerprint(t, serial), fingerprint(t, par)
 				if !bytes.Equal(fs, fp) {
@@ -151,59 +143,9 @@ func TestParallelRunTwiceDeterminism(t *testing.T) {
 	}
 }
 
-// TestLegacyFallbackConfigs pins the partitionable() contract: each
-// disqualifying feature forces the legacy engine even when parallel was
-// requested, and the pre-run ExecutedEngine prediction (which cache keys
-// rely on) agrees with what actually executed.
-func TestLegacyFallbackConfigs(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(rc *RunConfig)
-	}{
-		{"dynamic-protocol", func(rc *RunConfig) { rc.Cfg = topology.Default(topology.ProtoDynamic) }},
-		{"oracular", func(rc *RunConfig) { rc.Cfg.Oracular = true }},
-		{"scrubbing", func(rc *RunConfig) { rc.ScrubIntervalCyc = 100_000 }},
-		{"fault-injection", func(rc *RunConfig) {
-			rc.FaultFn = func(socket int, a topology.Addr) bool { return false }
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			rc := RunConfig{
-				Cfg:        topology.Default(topology.ProtoDeny),
-				WarmupOps:  2_000,
-				MeasureOps: 5_000,
-				Engine:     EngineParallel,
-			}
-			c.mut(&rc)
-			if got := rc.ExecutedEngine(); got != "legacy" {
-				t.Fatalf("ExecutedEngine() = %q, want legacy", got)
-			}
-			res, err := Run(smallSpec("fft"), rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Engine != "legacy" {
-				t.Fatalf("executed on %q, want legacy", res.Engine)
-			}
-			if res.Workers != 1 {
-				t.Fatalf("legacy fallback used %d workers", res.Workers)
-			}
-		})
-	}
-	// And the positive case: a plain deny run on the parallel engine is
-	// predicted and executed as partitioned.
-	rc := RunConfig{Cfg: topology.Default(topology.ProtoDeny), WarmupOps: 2_000,
-		MeasureOps: 5_000, Engine: EngineParallel}
-	if got := rc.ExecutedEngine(); got != "partitioned" {
-		t.Fatalf("ExecutedEngine() = %q, want partitioned", got)
-	}
-}
-
 // TestParseEngineModeRoundTrip pins flag spellings.
 func TestParseEngineModeRoundTrip(t *testing.T) {
-	for _, m := range []EngineMode{EngineAuto, EngineSerial, EngineParallel, EngineLegacy} {
+	for _, m := range []EngineMode{EngineAuto, EngineSerial, EngineParallel} {
 		got, err := ParseEngineMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseEngineMode(%q) = %v, %v", m.String(), got, err)

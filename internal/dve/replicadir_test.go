@@ -4,16 +4,26 @@ import (
 	"testing"
 
 	"dve/internal/coherence"
+	"dve/internal/sim"
 	"dve/internal/topology"
 )
 
 // Direct unit tests of the replica directory against a real system, driving
 // individual accesses rather than whole workloads.
 
+// newPartitionedSystem builds cfg's system on a fresh partitioned engine
+// whose partitions run on one worker (the tests drive both sockets' replica
+// directories directly).
+func newPartitionedSystem(cfg *topology.Config) (*coherence.System, error) {
+	pe := sim.NewParallelEngine(cfg.Sockets, sim.Cycle(cfg.InterSocketCyc())+1)
+	pe.SetWorkers(1)
+	return coherence.NewPartitioned(cfg, pe)
+}
+
 func newSystem(t *testing.T, p topology.Protocol, mode Mode) (*coherence.System, []*ReplicaDir) {
 	t.Helper()
 	cfg := topology.Default(p)
-	sys, err := coherence.New(&cfg)
+	sys, err := newPartitionedSystem(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +35,7 @@ func do(t *testing.T, sys *coherence.System, core int, write bool, a topology.Ad
 	t.Helper()
 	ok := false
 	sys.Access(core, write, a, func() { ok = true })
-	sys.Engs[0].Run()
+	sys.Drain()
 	if !ok {
 		t.Fatalf("access %#x never completed", a)
 	}
@@ -44,8 +54,8 @@ func TestDenyFirstReadIsLinkFree(t *testing.T) {
 	if sys.Link.Msgs() != 0 {
 		t.Fatalf("deny first read crossed the link (%d msgs)", sys.Link.Msgs())
 	}
-	if sys.Cnts[0].ReplicaReads != 1 {
-		t.Fatalf("replica reads = %d, want 1", sys.Cnts[0].ReplicaReads)
+	if sys.Counters().ReplicaReads != 1 {
+		t.Fatalf("replica reads = %d, want 1", sys.Counters().ReplicaReads)
 	}
 }
 
@@ -58,8 +68,8 @@ func TestAllowFirstReadPullsPermission(t *testing.T) {
 		t.Fatalf("allow first read sent %d link msgs, want 2 (ctrl pull)", sys.Link.Msgs())
 	}
 	// But the data itself came from the local replica.
-	if sys.Cnts[0].ReplicaReads != 1 {
-		t.Fatalf("replica reads = %d, want 1", sys.Cnts[0].ReplicaReads)
+	if sys.Counters().ReplicaReads != 1 {
+		t.Fatalf("replica reads = %d, want 1", sys.Counters().ReplicaReads)
 	}
 	// Second read: the entry is cached; fully local.
 	msgs := sys.Link.Msgs()
@@ -71,32 +81,32 @@ func TestAllowFirstReadPullsPermission(t *testing.T) {
 func TestSpeculativeReadAccounting(t *testing.T) {
 	sys, _ := newSystem(t, topology.ProtoAllow, Allow)
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].SpecIssued != 1 {
-		t.Fatalf("spec issued = %d, want 1", sys.Cnts[0].SpecIssued)
+	if sys.Counters().SpecIssued != 1 {
+		t.Fatalf("spec issued = %d, want 1", sys.Counters().SpecIssued)
 	}
-	if sys.Cnts[0].SpecSquashed != 0 {
-		t.Fatalf("clean pull squashed %d", sys.Cnts[0].SpecSquashed)
+	if sys.Counters().SpecSquashed != 0 {
+		t.Fatalf("clean pull squashed %d", sys.Counters().SpecSquashed)
 	}
 	// Make the home side dirty; the next replica-side read must squash its
 	// speculative local read (data ships over the link).
 	do(t, sys, 0, true, remoteAddr+128)
 	do(t, sys, 8, false, remoteAddr+128)
-	if sys.Cnts[0].SpecSquashed != 1 {
-		t.Fatalf("squashed = %d, want 1 (home-dirty pull)", sys.Cnts[0].SpecSquashed)
+	if sys.Counters().SpecSquashed != 1 {
+		t.Fatalf("squashed = %d, want 1 (home-dirty pull)", sys.Counters().SpecSquashed)
 	}
 }
 
 func TestNoSpeculationWhenDisabled(t *testing.T) {
 	cfg := topology.Default(topology.ProtoAllow)
 	cfg.SpeculativeReads = false
-	sys, err := coherence.New(&cfg)
+	sys, err := newPartitionedSystem(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	New(sys, 0, Allow)
 	New(sys, 1, Allow)
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].SpecIssued != 0 {
+	if sys.Counters().SpecIssued != 0 {
 		t.Fatal("speculation issued despite being disabled")
 	}
 }
@@ -123,7 +133,7 @@ func TestDualWritebackOnReplicaEviction(t *testing.T) {
 	for i := 1; i <= sys.Cfg.LLCWays+1; i++ {
 		do(t, sys, 8, false, remoteAddr+topology.Addr(uint64(i)*setStride*2))
 	}
-	if sys.Cnts[0].DualWritebacks == 0 {
+	if sys.Counters().DualWritebacks == 0 {
 		t.Fatal("replica-side dirty eviction skipped the dual writeback")
 	}
 	// Both memory controllers saw the write.
@@ -137,10 +147,10 @@ func TestDenyRMBlocksReplicaRead(t *testing.T) {
 	// Home-side write installs RM at the replica directory.
 	do(t, sys, 0, true, remoteAddr)
 	sys.Link.Reset()
-	before := sys.Cnts[0].ReplicaReads
+	before := sys.Counters().ReplicaReads
 	// Replica-side read must fetch through home (RM: replica stale).
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].ReplicaReads != before {
+	if sys.Counters().ReplicaReads != before {
 		t.Fatal("stale replica served a read while RM")
 	}
 	if sys.Link.Msgs() == 0 {
@@ -157,7 +167,7 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 	for _, rd := range rds {
 		rd.SetMode(Allow, func() { pending-- })
 	}
-	sys.Engs[0].Run()
+	sys.Drain()
 	if pending != 0 {
 		t.Fatal("mode switch never completed")
 	}
@@ -166,9 +176,9 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 	}
 	// A replica-side read after the switch must NOT serve stale replica
 	// data: allow mode requires a pull, which fetches from the dirty owner.
-	before := sys.Cnts[0].ReplicaReads
+	before := sys.Counters().ReplicaReads
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].ReplicaReads != before {
+	if sys.Counters().ReplicaReads != before {
 		t.Fatal("allow served the replica for a home-dirty line after a mode switch")
 	}
 	// And switching back to deny rebuilds the RM set from home state.
@@ -176,7 +186,7 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 	for _, rd := range rds {
 		rd.SetMode(Deny, func() { pending-- })
 	}
-	sys.Engs[0].Run()
+	sys.Drain()
 	if pending != 0 {
 		t.Fatal("switch back never completed")
 	}
@@ -185,7 +195,7 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 func TestCoarseGrainRegionGrantAndInvalidate(t *testing.T) {
 	cfg := topology.Default(topology.ProtoAllow)
 	cfg.CoarseGrain = true
-	sys, err := coherence.New(&cfg)
+	sys, err := newPartitionedSystem(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,16 +204,16 @@ func TestCoarseGrainRegionGrantAndInvalidate(t *testing.T) {
 
 	// First replica-side read acquires a whole-region grant.
 	do(t, sys, 8, false, remoteAddr)
-	misses := sys.Cnts[0].ReplicaDirMisses
+	misses := sys.Counters().ReplicaDirMisses
 	// Another line of the same 4KB region: region hit, no second pull.
 	do(t, sys, 8, false, remoteAddr+640)
-	if sys.Cnts[0].ReplicaDirMisses != misses {
+	if sys.Counters().ReplicaDirMisses != misses {
 		t.Fatal("second line of a granted region missed")
 	}
 	// A home-side write anywhere in the region revokes it.
 	do(t, sys, 0, true, remoteAddr+128)
 	do(t, sys, 8, false, remoteAddr+1280)
-	if sys.Cnts[0].ReplicaDirMisses == misses {
+	if sys.Counters().ReplicaDirMisses == misses {
 		t.Fatal("region survived a home-side exclusive request")
 	}
 }
@@ -211,7 +221,7 @@ func TestCoarseGrainRegionGrantAndInvalidate(t *testing.T) {
 func TestOracularNeverWorseAccounting(t *testing.T) {
 	cfg := topology.Default(topology.ProtoAllow)
 	cfg.Oracular = true
-	sys, err := coherence.New(&cfg)
+	sys, err := newPartitionedSystem(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

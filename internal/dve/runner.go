@@ -20,8 +20,8 @@ type RunConfig struct {
 	// in detail (Section VI "Workloads").
 	WarmupOps  uint64
 	MeasureOps uint64
-	// Engine selects the execution engine (EngineAuto partitions per socket
-	// when the configuration allows it; see EngineMode).
+	// Engine selects how many worker goroutines execute the per-socket
+	// partitions (see EngineMode); it never changes the statistics.
 	Engine EngineMode
 	// Classify enables Fig 7 sharing-pattern classification (normally only
 	// on baseline runs).
@@ -66,19 +66,16 @@ type OpSource interface {
 type Result struct {
 	Workload string
 	Protocol topology.Protocol
-	// Engine records the engine that actually executed the run: "legacy"
-	// (single global event queue) or "partitioned" (per-socket queues with
-	// link-latency lookahead). Serial and parallel execution of the
-	// partitioned engine produce byte-identical results, so they share the
-	// label; legacy orders cross-socket ties differently and is a distinct
-	// statistics universe.
-	Engine string
-	// Workers is how many goroutines executed the engine (1 for legacy and
-	// serial partitioned runs). It never affects the statistics — only the
-	// host-side cost — and perf reports record it next to wall time.
+	// Workers is how many goroutines executed the engine partitions. It
+	// never affects the statistics — only the host-side cost.
 	Workers int
-	// Cycles is the region-of-interest duration.
+	// Cycles is the region-of-interest duration: the longest of
+	// SocketCycles.
 	Cycles uint64
+	// SocketCycles is each socket's ROI duration. Every socket runs the
+	// same op budget, so a socket slowed by faults stretches Cycles while
+	// the others finish early.
+	SocketCycles []uint64
 	// Counters are the ROI statistics (link traffic, classes, DRAM, ...).
 	Counters stats.Counters
 	// InvariantViolations is the post-run coherence audit (SWMR, directory
@@ -98,20 +95,18 @@ const barrierLatency = 100
 
 // group is the per-partition slice of the runner: the threads of one
 // socket, their op budget and ROI window, and the local half of the
-// barrier protocol. The legacy engine runs one group holding every thread
-// (reproducing the original single-queue behavior exactly); the
-// partitioned engine runs one group per socket, each touching only its own
-// partition's engine and counter shard.
+// barrier protocol. Each group touches only its own partition's engine and
+// counter shard.
 type group struct {
-	r       *runner
-	id      int // socket index (0 in legacy single-group mode)
-	eng     *sim.Engine
-	cnt     *stats.Counters
-	nthr    int // threads in this group
-	budget  uint64
-	warmup  uint64
-	ops     uint64
-	inROI   bool
+	r         *runner
+	id        int // socket index
+	eng       *sim.Engine
+	cnt       *stats.Counters
+	nthr      int // threads in this group
+	budget    uint64
+	warmup    uint64
+	ops       uint64
+	inROI     bool
 	roiStart  sim.Cycle
 	roiCycles uint64
 
@@ -139,7 +134,7 @@ type runner struct {
 	// coordinator (group 0's partition) releases everyone when all are in.
 	barGroups int
 
-	// dynamic protocol state (legacy engine only).
+	// dynamic protocol state (nil unless the protocol is dynamic).
 	dynamic *dynamicCtl
 }
 
@@ -181,22 +176,12 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 	if cfg.FootprintHintLines == 0 && spec.FootprintMB > 0 && cfg.LineSizeBytes > 0 {
 		cfg.FootprintHintLines = spec.FootprintMB << 20 / cfg.LineSizeBytes
 	}
-	partitioned, workers := resolveEngine(rc.Engine, &rc, &cfg)
-	var (
-		sys *coherence.System
-		pe  *sim.ParallelEngine
-		err error
-	)
-	if partitioned {
-		// The lookahead window is the link's minimum sender-to-delivery
-		// distance: one serialization cycle plus the propagation latency.
-		window := sim.Cycle(cfg.InterSocketCyc()) + 1
-		pe = sim.NewParallelEngine(cfg.Sockets, window)
-		pe.SetWorkers(workers)
-		sys, err = coherence.NewPartitioned(&cfg, pe)
-	} else {
-		sys, err = coherence.New(&cfg)
-	}
+	workers := resolveEngine(rc.Engine, &rc, &cfg)
+	// The lookahead window is the link's minimum sender-to-delivery
+	// distance: one serialization cycle plus the propagation latency.
+	pe := sim.NewParallelEngine(cfg.Sockets, sim.Cycle(cfg.InterSocketCyc())+1)
+	pe.SetWorkers(workers)
+	sys, err := coherence.NewPartitioned(&cfg, pe)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +209,7 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 		cfg:  &cfg,
 		nthr: cfg.TotalCores(),
 	}
-	r.buildGroups(partitioned)
+	r.buildGroups()
 	if cfg.Replicated() {
 		mode := Allow
 		if cfg.Protocol == topology.ProtoDeny {
@@ -257,12 +242,10 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 	}
 	sys.Drain()
 
-	engine := "legacy"
-	if partitioned {
-		engine = "partitioned"
-	}
 	var roiCycles uint64
-	for _, g := range r.groups {
+	socketCycles := make([]uint64, len(r.groups))
+	for i, g := range r.groups {
+		socketCycles[i] = g.roiCycles
 		if g.roiCycles > roiCycles {
 			roiCycles = g.roiCycles
 		}
@@ -270,9 +253,9 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 	res := &Result{
 		Workload:            spec.Name,
 		Protocol:            cfg.Protocol,
-		Engine:              engine,
 		Workers:             workers,
 		Cycles:              roiCycles,
+		SocketCycles:        socketCycles,
 		Counters:            sys.Counters(),
 		InvariantViolations: sys.CheckInvariants(),
 	}
@@ -289,12 +272,10 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 		// warmup is still attack pressure the defenses must answer.
 		res.Counters.HammerCrossings += mc.HammeredRows
 	}
-	if pe != nil {
-		// Whole-run epoch accounting (deterministic: both are pure
-		// functions of the event trace, independent of the worker count).
-		res.Counters.EngineEpochs = pe.Epochs()
-		res.Counters.EngineBarrierStalls = pe.BarrierStalls()
-	}
+	// Whole-run epoch accounting (deterministic: both are pure functions
+	// of the event trace, independent of the worker count).
+	res.Counters.EngineEpochs = pe.Epochs()
+	res.Counters.EngineBarrierStalls = pe.BarrierStalls()
 	if r.dynamic != nil {
 		res.Counters.EpochsAllow = r.dynamic.epochsAllow
 		res.Counters.EpochsDeny = r.dynamic.epochsDeny
@@ -323,24 +304,10 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// buildGroups creates the execution groups: one global group on the legacy
-// engine, or one per socket on the partitioned engine, with the op budget
+// buildGroups creates one execution group per socket, with the op budget
 // and warmup split evenly (remainders to group 0 so totals are preserved).
-func (r *runner) buildGroups(partitioned bool) {
+func (r *runner) buildGroups() {
 	total := r.rc.WarmupOps + r.rc.MeasureOps
-	if !partitioned {
-		g := &group{
-			r: r, id: 0,
-			eng:    r.sys.Engs[0],
-			cnt:    r.sys.Cnts[0],
-			nthr:   r.nthr,
-			budget: total,
-			warmup: r.rc.WarmupOps,
-		}
-		g.inROI = g.warmup == 0
-		r.groups = []*group{g}
-		return
-	}
 	n := r.cfg.Sockets
 	for s := 0; s < n; s++ {
 		g := &group{
@@ -362,9 +329,6 @@ func (r *runner) buildGroups(partitioned bool) {
 
 // groupOf returns the execution group driving the given core.
 func (r *runner) groupOf(core int) *group {
-	if len(r.groups) == 1 {
-		return r.groups[0]
-	}
 	return r.groups[r.sys.SocketOf(core)]
 }
 
@@ -418,11 +382,15 @@ func (r *runner) issue(t int) {
 func (g *group) completed() {
 	g.ops++
 	g.cnt.Ops++
+	d := g.r.dynamic
+	if d != nil {
+		d.ops++
+	}
 	if !g.inROI && g.ops >= g.warmup {
 		g.startROI()
 	}
-	if g.r.dynamic != nil && g.inROI {
-		g.r.dynamic.tick(g.ops)
+	if d != nil && d.waiting == 0 {
+		d.tick(g.eng.Now())
 	}
 }
 
@@ -432,21 +400,16 @@ func (g *group) startROI() {
 	// Reset the measured statistics; cache/directory state is kept warm.
 	cls := g.cnt.DRAMChannels
 	*g.cnt = stats.Counters{DRAMChannels: cls}
-	if len(g.r.groups) == 1 {
-		g.r.sys.Link.Reset()
-		for _, mc := range g.r.sys.MCs {
-			mc.ResetStats()
+	// Each socket resets its own sending direction and memory controller
+	// from its own partition (a memory controller is only ever driven by
+	// its socket's partition, so its statistics are partition-local too).
+	g.r.sys.Link.ResetDir(g.id)
+	g.r.sys.MCs[g.id].ResetStats()
+	if d := g.r.dynamic; d != nil {
+		d.waiting--
+		if d.waiting == 0 {
+			d.start(g.eng.Now())
 		}
-	} else {
-		// Partitioned: each socket resets its own sending direction and
-		// memory controller from its own partition (a memory controller is
-		// only ever driven by its socket's partition, so its statistics
-		// are partition-local too).
-		g.r.sys.Link.ResetDir(g.id)
-		g.r.sys.MCs[g.id].ResetStats()
-	}
-	if g.r.dynamic != nil {
-		g.r.dynamic.start(g.ops)
 	}
 }
 
@@ -456,30 +419,12 @@ func (g *group) finishROI() {
 	}
 }
 
-// barrier parks the thread until all threads arrive. With a single group
-// this is the classic in-engine barrier; with per-socket groups each group
+// barrier parks the thread until all threads arrive. Each socket's group
 // collects its own arrivals, reports across the link-latency mailbox to
 // the coordinator on partition 0, and is released the same way, so both
 // the arrival and release orders are deterministic.
 func (r *runner) barrier(g *group, t int) {
 	g.barWaiting++
-	if len(r.groups) == 1 {
-		if g.barWaiting < g.nthr {
-			g.barResume = append(g.barResume, func() { r.issue(t) })
-			return
-		}
-		// Last arrival releases everyone.
-		resume := g.barResume
-		g.barResume = nil
-		g.barWaiting = 0
-		g.eng.Schedule(barrierLatency, func() {
-			for _, fn := range resume {
-				fn()
-			}
-			r.issue(t)
-		})
-		return
-	}
 	g.barResume = append(g.barResume, func() { r.issue(t) })
 	if g.barWaiting < g.nthr {
 		return
@@ -532,11 +477,18 @@ func (g *group) release() {
 
 // dynamicCtl implements the sampling-based dynamic protocol (Section V-C5):
 // profile allow and deny for a sample window each, then apply the winner for
-// the remainder of the epoch. The dynamic protocol samples one global clock,
-// so it always runs on the legacy engine (see partitionable) — the single
-// group's engine is Engs[0].
+// the remainder of the epoch. It counts run-level ops (every group's
+// completions) and starts once, when the last group enters the ROI. Each
+// decision reads the clock of the partition that completed the op; the
+// controller switches both sockets' replica directories, which is why the
+// dynamic protocol runs its partitions on one worker (see singleWorker).
 type dynamicCtl struct {
 	r *runner
+
+	// ops counts completed ops over all groups; waiting is how many groups
+	// have yet to enter the ROI (the controller is idle until it is 0).
+	ops     uint64
+	waiting int
 
 	phase      int // 0: profiling allow, 1: profiling deny, 2: applying winner
 	phaseStart uint64
@@ -550,13 +502,20 @@ type dynamicCtl struct {
 }
 
 func newDynamicCtl(r *runner) *dynamicCtl {
-	return &dynamicCtl{r: r}
+	d := &dynamicCtl{r: r}
+	for _, g := range r.groups {
+		if !g.inROI {
+			d.waiting++
+		}
+	}
+	return d
 }
 
-func (d *dynamicCtl) start(ops uint64) {
+// start opens the first profiling phase at cycle now.
+func (d *dynamicCtl) start(now sim.Cycle) {
 	d.phase = 0
-	d.phaseStart = ops
-	d.cycleStart = d.r.sys.Engs[0].Now()
+	d.phaseStart = d.ops
+	d.cycleStart = now
 	d.setMode(Allow)
 }
 
@@ -586,31 +545,35 @@ func (d *dynamicCtl) setMode(m Mode) {
 	}
 }
 
-// tick advances the controller on every completed op.
-func (d *dynamicCtl) tick(ops uint64) {
+// tick advances the controller on every completed op; now is the clock of
+// the partition that completed it.
+func (d *dynamicCtl) tick(now sim.Cycle) {
 	cfg := d.r.cfg
-	elapsed := ops - d.phaseStart
+	elapsed := d.ops - d.phaseStart
 	cpo := func() float64 {
-		if elapsed == 0 {
+		// Partition clocks agree only to within one lookahead window, so
+		// a phase opened on one partition may be read from a clock that
+		// trails it.
+		if elapsed == 0 || now <= d.cycleStart {
 			return 0
 		}
-		return float64(d.r.sys.Engs[0].Now()-d.cycleStart) / float64(elapsed)
+		return float64(now-d.cycleStart) / float64(elapsed)
 	}
 	switch d.phase {
 	case 0:
 		if elapsed >= cfg.SampleOps {
 			d.allowCPO = cpo()
 			d.phase = 1
-			d.phaseStart = ops
-			d.cycleStart = d.r.sys.Engs[0].Now()
+			d.phaseStart = d.ops
+			d.cycleStart = now
 			d.setMode(Deny)
 		}
 	case 1:
 		if elapsed >= cfg.SampleOps {
 			d.denyCPO = cpo()
 			d.phase = 2
-			d.phaseStart = ops
-			d.cycleStart = d.r.sys.Engs[0].Now()
+			d.phaseStart = d.ops
+			d.cycleStart = now
 			if d.denyCPO <= d.allowCPO {
 				d.epochsDeny++
 				d.setMode(Deny)
@@ -622,8 +585,8 @@ func (d *dynamicCtl) tick(ops uint64) {
 	case 2:
 		if elapsed >= cfg.EpochOps {
 			d.phase = 0
-			d.phaseStart = ops
-			d.cycleStart = d.r.sys.Engs[0].Now()
+			d.phaseStart = d.ops
+			d.cycleStart = now
 			d.setMode(Allow)
 		}
 	}

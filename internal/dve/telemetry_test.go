@@ -16,11 +16,7 @@ func runTraced(t *testing.T, tr *telemetry.Tracer) *Result {
 		Cfg:        topology.Default(topology.ProtoDeny),
 		WarmupOps:  10_000,
 		MeasureOps: 30_000,
-		// Tracing binds one engine, so a traced run always falls back to
-		// the legacy engine; pin the untraced comparison leg to the same
-		// engine or the no-perturbation diff would compare across engines.
-		Engine:    EngineLegacy,
-		Telemetry: tr,
+		Telemetry:  tr,
 	}
 	res, err := Run(smallSpec("fft"), rc)
 	if err != nil {
@@ -84,6 +80,23 @@ func TestTracedRunEmitsValidTrace(t *testing.T) {
 	for _, ph := range []string{"B", "E", "X", "i", "M"} {
 		if phases[ph] == 0 {
 			t.Errorf("trace has no %q events (got %v)", ph, phases)
+		}
+	}
+	// Each socket's partition samples its own queue depth onto its own
+	// counter track, so every pending_events track is monotone in one clock.
+	depthTracks := map[[2]int]bool{}
+	for _, ev := range evs {
+		if ev.Ph == "C" && ev.Name == "pending_events" {
+			depthTracks[[2]int{ev.Pid, ev.Tid}] = true
+		}
+	}
+	perSocket := map[int]int{}
+	for k := range depthTracks {
+		perSocket[k[0]]++
+	}
+	for s := 0; s < 2; s++ {
+		if perSocket[s] != 1 {
+			t.Errorf("socket %d has %d pending_events tracks, want 1 (tracks %v)", s, perSocket[s], depthTracks)
 		}
 	}
 	if tr.Dropped() > 0 {

@@ -56,10 +56,9 @@ type Runner struct {
 	// Parallelism bounds concurrent simulations (each is single-threaded
 	// and deterministic). 0 means 8.
 	Parallelism int
-	// Engine selects the simulation engine for every cell (see
-	// dve.EngineMode). The default, dve.EngineAuto, partitions per socket
-	// when the configuration allows it and uses worker goroutines when
-	// GOMAXPROCS offers real parallelism.
+	// Engine selects how every cell's partitions are executed (see
+	// dve.EngineMode). The default, dve.EngineAuto, uses worker goroutines
+	// when GOMAXPROCS offers real parallelism; results never depend on it.
 	Engine dve.EngineMode
 	// Workloads restricts the benchmark set (nil = the full Table III
 	// suite). Unknown names are an error, not a silent shrink: a typo must
@@ -121,31 +120,22 @@ func (r Runner) suite() ([]workload.Spec, error) {
 // Suite returns the full Table III benchmark set used by the experiments.
 func Suite() []workload.Spec { return workload.Suite(16) }
 
-// cellConfig builds the RunConfig for one cell — the single place the
-// runner's scale and engine choice turn into simulation parameters, so the
-// cache key and the actual run can never disagree about them.
-func (r Runner) cellConfig(cfg topology.Config, classify bool) dve.RunConfig {
-	return dve.RunConfig{
+// runOne simulates one workload under one configuration.
+func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool) (*dve.Result, error) {
+	return dve.Run(spec, dve.RunConfig{
 		Cfg:        cfg,
 		WarmupOps:  r.Scale.WarmupOps,
 		MeasureOps: r.Scale.MeasureOps,
 		Engine:     r.Engine,
 		Classify:   classify,
-	}
-}
-
-// runOne simulates one workload under one configuration.
-func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool) (*dve.Result, error) {
-	return dve.Run(spec, r.cellConfig(cfg, classify))
+	})
 }
 
 // CellKey returns the content address of one simulation cell at the
 // runner's scale: the hash of everything the result is a function of. The
-// key carries the *executed* engine family, not the requested mode: serial
-// and parallel partitioned runs are byte-identical (one cache entry serves
-// both), while legacy results live in their own universe.
+// engine mode is not part of it: every mode runs the same partitioned
+// simulation with byte-identical results, so one cache entry serves all.
 func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) (results.Key, error) {
-	rc := r.cellConfig(cfg, classify)
 	return results.CellKey{
 		Workload:   spec,
 		Config:     cfg,
@@ -153,7 +143,6 @@ func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) 
 		MeasureOps: r.Scale.MeasureOps,
 		Classify:   classify,
 		Seed:       spec.Seed,
-		Engine:     rc.ExecutedEngine(),
 	}.Hash()
 }
 

@@ -292,35 +292,6 @@ func TestMatrixCacheRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBenchCacheRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation matrix")
-	}
-	store, err := results.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Runner{Scale: Scale{WarmupOps: 2_000, MeasureOps: 5_000}, Cache: store}
-	cold, err := r.Bench("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := r.Bench("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wall-clock measurements are replayed, not re-measured, so repeated
-	// bench reports are byte-identical.
-	coldJSON, _ := json.MarshalIndent(cold, "", "  ")
-	warmJSON, _ := json.MarshalIndent(warm, "", "  ")
-	if !bytes.Equal(coldJSON, warmJSON) {
-		t.Fatalf("warm bench report differs from cold:\n%s\n---\n%s", coldJSON, warmJSON)
-	}
-	if s := store.Stats(); s.Hits != uint64(len(warm.Runs)) {
-		t.Fatalf("warm bench stats %v, want %d hits", s, len(warm.Runs))
-	}
-}
-
 func TestFaultCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation matrix")

@@ -6,7 +6,6 @@ import (
 
 	"dve/internal/dve"
 	"dve/internal/fault"
-	"dve/internal/stats"
 	"dve/internal/topology"
 	"dve/internal/workload"
 )
@@ -82,8 +81,9 @@ type FaultResult struct {
 	Recoveries uint64
 	DUEs       uint64
 	Degraded   uint64
-	// RelPerf is cycles(baseline, fault-free) / cycles(scheme, faulted):
-	// how much fault-free-baseline performance the faulted system retains.
+	// RelPerf is throughput(scheme, faulted) / throughput(baseline,
+	// fault-free): how much fault-free-baseline performance the faulted
+	// system retains (see throughput).
 	RelPerf float64
 }
 
@@ -124,11 +124,26 @@ func (r Runner) FaultCampaign(workloadName string) ([]FaultResult, error) {
 				Recoveries: res.Counters.Recoveries,
 				DUEs:       res.Counters.DetectedUncorrect,
 				Degraded:   res.Counters.DegradedLines,
-				RelPerf:    stats.Speedup(cleanBase.Cycles, res.Cycles),
+				RelPerf:    throughput(res) / throughput(cleanBase),
 			})
 		}
 	}
 	return out, nil
+}
+
+// throughput is the machine's ROI throughput up to a constant factor: every
+// socket runs the same op budget, so the machine completes ops at the sum
+// of the sockets' inverse ROI durations. Unlike the longest socket's ROI
+// (Result.Cycles), it credits the healthy socket's full speed when faults
+// slow only one socket.
+func throughput(res *dve.Result) float64 {
+	var t float64
+	for _, c := range res.SocketCycles {
+		if c > 0 {
+			t += 1 / float64(c)
+		}
+	}
+	return t
 }
 
 // FormatFaultCampaign renders the campaign table.

@@ -92,8 +92,9 @@ type Link struct {
 	// Trace, when non-nil, records every message as a complete interval
 	// [serialization start, delivery) on the sending socket's link track.
 	// Per-direction starts are monotone (nextFree only advances), so the
-	// track's timestamps are monotone by construction. Tracing binds a
-	// single engine, so it is only ever attached in single-engine mode.
+	// track's timestamps are monotone by construction. A traced run
+	// executes its partitions on one worker, so the shared tracer is never
+	// written concurrently.
 	Trace *telemetry.Tracer
 }
 

@@ -12,8 +12,8 @@ import (
 type EngineConfig struct {
 	// Inject, when set, arms the dynamic fault injector.
 	Inject *InjectorConfig
-	// Static faults are planted before the run starts (the legacy
-	// pre-run campaign style).
+	// Static faults are planted before the run starts (the pre-run
+	// campaign style).
 	Static []fault.Fault
 	// KillSocket, when >= 0, kills that socket's memory controller at
 	// KillAtCyc, demoting its dependents to unreplicated mode.
@@ -58,8 +58,9 @@ func NewEngine(cfg EngineConfig, set *fault.Set) *Engine {
 }
 
 // Attach wires the engine into a freshly built system. It is shaped to be
-// used directly as dve.RunConfig.Prepare — and a Prepare hook forces the
-// legacy single-queue engine, so Engs[0] below is the one shared engine.
+// used directly as dve.RunConfig.Prepare; a Prepare hook runs the socket
+// partitions on one worker, so the journal and fault set need no locking.
+// Events are stamped with their socket's partition clock.
 func (e *Engine) Attach(sys *coherence.System) {
 	e.amap = sys.AMap
 	e.Retired = rmt.NewTable(sys.Cfg.PageBytes)
@@ -69,7 +70,7 @@ func (e *Engine) Attach(sys *coherence.System) {
 
 	sys.RASEvent = func(kind string, socket int, l topology.Line) {
 		e.Journal.Append(Event{
-			Cycle:  uint64(sys.Engs[0].Now()),
+			Cycle:  uint64(sys.Engs[socket].Now()),
 			Kind:   kind,
 			Socket: socket,
 			Line:   uint64(l),
@@ -81,6 +82,8 @@ func (e *Engine) Attach(sys *coherence.System) {
 		e.set.Add(f)
 	}
 	if e.cfg.Inject != nil {
+		// One arrival process for the whole machine, clocked by socket
+		// 0's partition; it only mutates the shared fault set.
 		e.Inj = NewInjector(*e.cfg.Inject, sys.Engs[0], e.set, sys.Cfg, e.Journal.Append)
 		e.Inj.Start()
 	}
@@ -90,7 +93,7 @@ func (e *Engine) Attach(sys *coherence.System) {
 	}
 	if e.cfg.KillSocket >= 0 {
 		socket := e.cfg.KillSocket
-		sys.Engs[0].ScheduleDaemon(sim.Cycle(e.cfg.KillAtCyc), func() {
+		sys.Engs[socket].ScheduleDaemon(sim.Cycle(e.cfg.KillAtCyc), func() {
 			sys.KillSocketMemory(socket, nil)
 		})
 	}

@@ -46,9 +46,10 @@ type hammerFlip struct {
 }
 
 // HammerState wires OnHammer crossings to fault injection and scores the
-// defense ladder by observing the run's RAS events. Crossings, flips, and
-// every observation run on the one legacy engine (a Prepare hook forces
-// it), so the bookkeeping needs no locking and is deterministic.
+// defense ladder by observing the run's RAS events. A Prepare hook runs the
+// socket partitions on one worker, so the bookkeeping needs no locking and
+// is deterministic; a flip's inject and detect cycles are both read from
+// its socket's partition clock.
 type HammerState struct {
 	sys         *coherence.System
 	set         *fault.Set
@@ -104,7 +105,7 @@ func (h *HammerState) attach() {
 // genuinely heals the cell, which is exactly the defense under measurement.
 func (h *HammerState) crossed(socket int, co topology.DRAMCoord) {
 	h.Crossings++
-	now := uint64(h.sys.Engs[0].Now())
+	now := uint64(h.sys.Engs[socket].Now())
 	cnt := h.sys.Cnts[socket]
 	for _, vco := range topology.AdjacentRows(co) {
 		injected := 0
@@ -189,7 +190,7 @@ func (h *HammerState) observe(kind string, socket int, l topology.Line) {
 		if live && !fl.detected {
 			fl.detected = true
 			cnt.HammerDetected++
-			cnt.HammerDetectLatency += uint64(h.sys.Engs[0].Now()) - fl.injectCyc
+			cnt.HammerDetectLatency += uint64(h.sys.Engs[socket].Now()) - fl.injectCyc
 		}
 	case coherence.EvDUE:
 		if live {

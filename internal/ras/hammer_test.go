@@ -146,10 +146,11 @@ func TestHammerZeroIntensityByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHammerRunsOnLegacyEngine pins the engine contract for hammer runs: an
-// external operation source (the aggressor interleaver) disqualifies the
-// partitioned engine, because aggressor reads deliberately cross sockets.
-func TestHammerRunsOnLegacyEngine(t *testing.T) {
+// TestHammerRunsPartitioned pins the engine contract for hammer runs: an
+// external operation source (the aggressor interleaver) runs on the
+// partitioned engine like every other run, forced onto one worker because
+// the source is not required to be concurrency-safe.
+func TestHammerRunsPartitioned(t *testing.T) {
 	cfg := topology.Default(topology.ProtoDeny)
 	spec, ok := workload.ByName("fft", cfg.TotalCores())
 	if !ok {
@@ -167,14 +168,14 @@ func TestHammerRunsOnLegacyEngine(t *testing.T) {
 		Engine:     dve.EngineParallel,
 		Source:     src,
 	}
-	if got := rc.ExecutedEngine(); got != "legacy" {
-		t.Fatalf("hammer RunConfig predicted engine %q, want legacy", got)
-	}
 	res, err := dve.Run(spec, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine != "legacy" {
-		t.Fatalf("hammer run executed on %q, want legacy", res.Engine)
+	if res.Workers != 1 {
+		t.Fatalf("hammer run used %d workers, want 1", res.Workers)
+	}
+	if res.Counters.EngineEpochs == 0 {
+		t.Fatal("hammer run recorded no partitioned-engine epochs")
 	}
 }

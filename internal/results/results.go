@@ -56,7 +56,11 @@ import (
 // (TraceDropped, FlightDumps) and the metrics snapshot two matching
 // series; earlier payloads would replay with those columns silently zero
 // and a shorter snapshot vector.
-const SchemaVersion = 5
+// History: 6 — one engine family: every run executes on the partitioned
+// engine, so cells are no longer keyed by engine, and cells that used to
+// run on the single-queue engine (dynamic, oracular, faults/RAS) have new
+// results.
+const SchemaVersion = 6
 
 // Key is a content-address: the stable hash of a result's full input set.
 type Key string
@@ -87,11 +91,6 @@ type CellKey struct {
 	MeasureOps uint64          `json:"measure_ops"`
 	Classify   bool            `json:"classify"`
 	Seed       int64           `json:"seed"`
-	// Engine is the executed engine family ("legacy" or "partitioned") —
-	// NOT the requested mode: serial and parallel execution of the
-	// partitioned engine are byte-identical and intentionally share a key,
-	// while legacy results live in their own universe.
-	Engine string `json:"engine"`
 }
 
 // Hash returns the cell's content address.

@@ -58,10 +58,8 @@ type leaseGrant struct {
 	WarmupOps  uint64          `json:"warmup_ops"`
 	MeasureOps uint64          `json:"measure_ops"`
 	// Engine is the coordinator's requested engine mode (dve.EngineMode
-	// flag spelling). The worker resolves it against its own engine logic
-	// when recomputing the key, so a fleet that disagrees about which
-	// configs partition refuses the cell instead of caching a result from
-	// the wrong statistics universe.
+	// flag spelling). It only sets the worker's goroutine count; the
+	// results, and so the cell key, do not depend on it.
 	Engine string `json:"engine"`
 	// Sweep and Cell are the span IDs minted at /run, propagated so the
 	// worker's own log lines join the coordinator's trace on the same keys.

@@ -328,20 +328,10 @@ func (w *Worker) execute(ctx context.Context, grant leaseGrant) {
 	w.logGrant(obslog.Info, "cell_start", grant, "")
 	// Recompute the content key locally: a worker whose binary disagrees
 	// with the coordinator about what these inputs mean must refuse the
-	// cell rather than cache a result under the wrong address. The engine
-	// family is resolved with *this* binary's partitioning rules — if the
-	// fleet disagrees about which configs partition, the keys diverge and
-	// the cell is refused here.
+	// cell rather than cache a result under the wrong address.
 	mode, err := dve.ParseEngineMode(grant.Engine)
 	var key results.Key
 	if err == nil {
-		rc := dve.RunConfig{
-			Cfg:        grant.Config,
-			WarmupOps:  grant.WarmupOps,
-			MeasureOps: grant.MeasureOps,
-			Engine:     mode,
-			Classify:   grant.Classify,
-		}
 		key, err = results.CellKey{
 			Workload:   grant.Workload,
 			Config:     grant.Config,
@@ -349,7 +339,6 @@ func (w *Worker) execute(ctx context.Context, grant leaseGrant) {
 			MeasureOps: grant.MeasureOps,
 			Classify:   grant.Classify,
 			Seed:       grant.Workload.Seed,
-			Engine:     rc.ExecutedEngine(),
 		}.Hash()
 	}
 	if err == nil && string(key) != grant.Key {

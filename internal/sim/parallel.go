@@ -61,9 +61,9 @@ type ParallelEngine struct {
 // NewParallelEngine returns a parallel engine with nparts fresh partitions
 // and the given lookahead window in cycles. The window must be at least 1
 // — a degenerate window means the config's link latency cannot bound
-// cross-partition visibility and the caller should fall back to a single
-// shared engine. Workers defaults to nparts; SetWorkers(1) forces the
-// serial epoch loop (same results by construction).
+// cross-partition visibility (noc.NewLink rejects such latencies). Workers
+// defaults to nparts; SetWorkers(1) forces the serial epoch loop (same
+// results by construction).
 func NewParallelEngine(nparts int, window Cycle) *ParallelEngine {
 	if nparts < 1 {
 		panic("sim: parallel engine needs at least one partition")

@@ -79,7 +79,7 @@ type Counters struct {
 	// they are safe in deterministic, byte-compared statistics: epochs is
 	// the number of lookahead windows executed; barrier stalls counts
 	// partition-epochs that had no event inside the window (the
-	// load-imbalance signal). Zero on the legacy single-queue engine.
+	// load-imbalance signal).
 	EngineEpochs        uint64
 	EngineBarrierStalls uint64
 

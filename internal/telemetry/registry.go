@@ -310,7 +310,7 @@ func CountersRegistry(c *stats.Counters) *Registry {
 	r.Counter("dve_hammer_repairs_total", "hammer flips healed by a verified repair", u(&c.HammerRepairs))
 	r.Counter("dve_epochs_allow_total", "epochs spent in allow mode", u(&c.EpochsAllow))
 	r.Counter("dve_epochs_deny_total", "epochs spent in deny mode", u(&c.EpochsDeny))
-	r.Counter("sim_epochs_total", "parallel-engine lookahead windows executed (0 on the legacy engine)", u(&c.EngineEpochs))
+	r.Counter("sim_epochs_total", "parallel-engine lookahead windows executed", u(&c.EngineEpochs))
 	r.Counter("sim_barrier_stalls_total", "partition-epochs idle at the barrier (load-imbalance signal)", u(&c.EngineBarrierStalls))
 	r.Counter("dve_trace_dropped_total", "trace events discarded by span-lane exhaustion (nonzero means the trace is a sample)", u(&c.TraceDropped))
 	r.Counter("dve_flight_dumps_total", "flight-recorder dumps taken (each marks an invariant violation or socket-kill report)", u(&c.FlightDumps))

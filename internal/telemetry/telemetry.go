@@ -110,9 +110,10 @@ const instantLane = laneCap + 1
 
 // Tracer is the probe sink wired through the system (coherence.System,
 // noc.Link, mem.Controller, cache.Sequencer). All methods derive time from
-// the attached sim.Engine and never feed anything back into the simulation.
+// the attached per-socket engines and never feed anything back into the
+// simulation.
 type Tracer struct {
-	eng  *sim.Engine
+	engs []*sim.Engine
 	opts Options
 
 	events []traceEvent
@@ -128,10 +129,12 @@ type Tracer struct {
 	rec     *FlightRecorder
 	dropped uint64
 
-	nextDepth sim.Cycle
+	// nextDepth[s] is the first cycle socket s's pending-event counter
+	// track samples again (one stride cursor per socket).
+	nextDepth []sim.Cycle
 }
 
-// NewTracer builds a tracer; Attach binds it to the run's engine (done by
+// NewTracer builds a tracer; Attach binds it to the run's engines (done by
 // coherence.(*System).SetTracer).
 func NewTracer(opts Options) *Tracer {
 	if opts.Sockets <= 0 {
@@ -151,10 +154,11 @@ func NewTracer(opts Options) *Tracer {
 	return t
 }
 
-// Attach binds the tracer to the engine that provides simulated time.
-// Attaching to a fresh engine mid-life would rewind the timeline, so a
-// tracer must be used for exactly one run.
-func (t *Tracer) Attach(eng *sim.Engine) { t.eng = eng }
+// Attach binds the tracer to the engines that provide simulated time:
+// engs[s] is socket s's partition, and a probe on socket s reads that clock.
+// A single engine serves every socket. Attaching to fresh engines mid-life
+// would rewind the timeline, so a tracer must be used for exactly one run.
+func (t *Tracer) Attach(engs ...*sim.Engine) { t.engs = engs }
 
 // Recorder returns the flight recorder, or nil when disabled.
 func (t *Tracer) Recorder() *FlightRecorder { return t.rec }
@@ -166,11 +170,16 @@ func (t *Tracer) Dropped() uint64 { return t.dropped }
 // Events returns how many trace events have been buffered.
 func (t *Tracer) Events() int { return len(t.events) }
 
-func (t *Tracer) now() sim.Cycle {
-	if t.eng == nil {
+// now returns socket's simulated clock (engs[0]'s when the socket has no
+// engine of its own).
+func (t *Tracer) now(socket int) sim.Cycle {
+	if len(t.engs) == 0 {
 		return 0
 	}
-	return t.eng.Now()
+	if socket < 0 || socket >= len(t.engs) {
+		socket = 0
+	}
+	return t.engs[socket].Now()
 }
 
 // trackIdx maps (component, socket) to a lane-table index, growing the
@@ -219,7 +228,7 @@ func tidOf(c Component, lane int) int {
 // track and returns its id; End closes it. line rides in the event args so
 // Perfetto can filter by cache line.
 func (t *Tracer) Begin(c Component, socket int, name string, line uint64) SpanID {
-	now := t.now()
+	now := t.now(socket)
 	if t.rec != nil {
 		t.rec.Note(uint64(now), socket, c, name, line)
 	}
@@ -249,10 +258,10 @@ func (t *Tracer) End(id SpanID) {
 	}
 	tr := int(id>>32) - 1
 	lane := int(uint32(id)) - 1
-	now := t.now()
-	ls := &t.lanes[tr][lane]
 	c := Component(tr / t.opts.Sockets)
 	socket := tr % t.opts.Sockets
+	now := t.now(socket)
+	ls := &t.lanes[tr][lane]
 	t.emit(traceEvent{
 		name: ls.name, ph: 'E', ts: uint64(now),
 		pid: socket, tid: tidOf(c, lane),
@@ -265,7 +274,7 @@ func (t *Tracer) End(id SpanID) {
 // dispatch, a RAS ladder step). Instants share a per-track pseudo-lane and
 // never consume span lanes.
 func (t *Tracer) Point(c Component, socket int, name string, line uint64) {
-	now := t.now()
+	now := t.now(socket)
 	if t.rec != nil {
 		t.rec.Note(uint64(now), socket, c, name, line)
 	}
@@ -304,17 +313,24 @@ func (t *Tracer) Complete(c Component, socket int, name string, argKey string, a
 	})
 }
 
-// EngineDispatch is the sim.Engine.OnDispatch hook: it subsamples the
-// pending-event count into a Perfetto counter track. It reads queue state
-// and writes only telemetry buffers — nothing flows back into the engine.
-func (t *Tracer) EngineDispatch(now sim.Cycle, pending int) {
-	if !t.opts.TraceEvents || now < t.nextDepth {
-		return
+// EngineDispatch returns the sim.Engine.OnDispatch hook for socket's
+// partition: it subsamples that partition's pending-event count into the
+// socket's own Perfetto counter track (pid = socket), so every track stays
+// monotone in its partition's clock. It reads queue state and writes only
+// telemetry buffers — nothing flows back into the engine.
+func (t *Tracer) EngineDispatch(socket int) func(now sim.Cycle, pending int) {
+	for len(t.nextDepth) <= socket {
+		t.nextDepth = append(t.nextDepth, 0)
 	}
-	t.nextDepth = now + sim.Cycle(t.opts.QueueDepthStrideCyc)
-	t.emit(traceEvent{
-		name: "pending_events", ph: 'C', ts: uint64(now),
-		pid: 0, tid: tidOf(CompEngine, 0),
-		argKey: "pending", argVal: uint64(pending),
-	})
+	return func(now sim.Cycle, pending int) {
+		if !t.opts.TraceEvents || now < t.nextDepth[socket] {
+			return
+		}
+		t.nextDepth[socket] = now + sim.Cycle(t.opts.QueueDepthStrideCyc)
+		t.emit(traceEvent{
+			name: "pending_events", ph: 'C', ts: uint64(now),
+			pid: socket, tid: tidOf(CompEngine, 0),
+			argKey: "pending", argVal: uint64(pending),
+		})
+	}
 }

@@ -401,7 +401,7 @@ func TestEngineDispatchSubsampling(t *testing.T) {
 	tr := NewTracer(Options{TraceEvents: true, QueueDepthStrideCyc: 100})
 	eng := sim.NewEngine()
 	tr.Attach(eng)
-	eng.OnDispatch = tr.EngineDispatch
+	eng.OnDispatch = tr.EngineDispatch(0)
 	for i := 0; i < 500; i++ {
 		eng.At(sim.Cycle(i), func() {})
 	}

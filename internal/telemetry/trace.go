@@ -43,10 +43,10 @@ func (t *Tracer) emit(ev traceEvent) {
 // always has matched B/E pairs even when the run was cut off mid-transaction
 // (RunUntil, socket kill). Lanes are walked in index order: deterministic.
 func (t *Tracer) closeDanglingSpans() {
-	now := uint64(t.now())
 	for tr := range t.lanes {
 		c := Component(tr / t.opts.Sockets)
 		socket := tr % t.opts.Sockets
+		now := uint64(t.now(socket))
 		for lane := range t.lanes[tr] {
 			ls := &t.lanes[tr][lane]
 			if ls.busyUntil != openSpan {

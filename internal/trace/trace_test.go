@@ -231,9 +231,8 @@ func TestCaptureReportsClampedCompute(t *testing.T) {
 
 // Regression for the silent-clamp bug: a clamp-free capture replayed through
 // the simulator must reproduce the live generator run's protocol counters
-// exactly. Both runs are pinned to the legacy engine (an external Source
-// forces it anyway; pinning the live side keeps the two in one statistics
-// universe).
+// exactly. The replay's external Source runs on one worker; the live run
+// uses the default engine mode, which must not matter.
 func TestReplayCountersMatchLive(t *testing.T) {
 	spec, _ := workload.ByName("stencil", 16)
 	var buf bytes.Buffer
@@ -252,7 +251,6 @@ func TestReplayCountersMatchLive(t *testing.T) {
 		Cfg:        topology.Default(topology.ProtoDeny),
 		WarmupOps:  20_000,
 		MeasureOps: 60_000,
-		Engine:     idve.EngineLegacy,
 	}
 	live, err := idve.Run(spec, rc)
 	if err != nil {

@@ -57,11 +57,9 @@ type HammerSpec struct {
 const probeOpsPerThread = 256
 
 // HammerSource implements the runner's OpSource: a victim generator plus
-// the aggressor ladder. Aggressor runs bind a global timeline (the ladder
-// cursor and the hammer counters live on shared state), so runs driven by a
-// HammerSource must execute on the legacy single-queue engine — which
-// dve.RunConfig guarantees, because any external Source disqualifies the
-// partitioned engine.
+// the aggressor ladder. Like any external source it runs with the socket
+// partitions on one worker (dve.RunConfig does not require sources to be
+// concurrency-safe).
 type HammerSource struct {
 	victim    *Generator
 	intensity float64
