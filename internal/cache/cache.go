@@ -67,6 +67,7 @@ type Cache struct {
 	Misses   uint64
 	Evicts   uint64
 	Capacity int
+	fa       *faIndex // non-nil for a fully associative cache
 }
 
 // New builds a cache with the given total size, associativity and line size.
@@ -91,17 +92,21 @@ func New(sizeBytes, ways, lineBytes int) *Cache {
 
 // NewFullyAssoc builds a fully associative structure with the given number
 // of entries (used for the replica directory: "fully associative 2K entry
-// structure", Section VI).
+// structure", Section VI). Lookup, Peek, Insert, Invalidate, VictimFor and
+// Clear run in O(1) through an index (fullyassoc.go) and pick the same
+// victims as a linear LRU scan. The index relies on one contract: an
+// entry's State becomes Invalid only through Invalidate or Clear, and its
+// Line never changes, so a caller (or a ForEach callback) must not write
+// either field.
 func NewFullyAssoc(entries, lineBytes int) *Cache {
-	c := &Cache{
-		sets:     make([][]Entry, 1),
+	fa := newFAIndex(entries)
+	return &Cache{
+		sets:     [][]Entry{fa.slots},
 		ways:     entries,
-		setMask:  0,
 		lineSz:   uint64(lineBytes),
 		Capacity: entries,
+		fa:       fa,
 	}
-	c.sets[0] = make([]Entry, 0, entries)
-	return c
 }
 
 func (c *Cache) setOf(l topology.Line) int {
@@ -111,6 +116,16 @@ func (c *Cache) setOf(l topology.Line) int {
 // Lookup returns the entry for a line, or nil on miss. It updates LRU and
 // hit/miss counters.
 func (c *Cache) Lookup(l topology.Line) *Entry {
+	if c.fa != nil {
+		s := c.fa.find(l)
+		if s < 0 {
+			c.Misses++
+			return nil
+		}
+		c.fa.touch(s)
+		c.Hits++
+		return &c.fa.slots[s]
+	}
 	set := c.sets[c.setOf(l)]
 	for i := range set {
 		if set[i].Line == l && set[i].State != Invalid {
@@ -126,6 +141,12 @@ func (c *Cache) Lookup(l topology.Line) *Entry {
 
 // Peek returns the entry without touching LRU or counters.
 func (c *Cache) Peek(l topology.Line) *Entry {
+	if c.fa != nil {
+		if s := c.fa.find(l); s >= 0 {
+			return &c.fa.slots[s]
+		}
+		return nil
+	}
 	set := c.sets[c.setOf(l)]
 	for i := range set {
 		if set[i].Line == l && set[i].State != Invalid {
@@ -139,6 +160,9 @@ func (c *Cache) Peek(l topology.Line) *Entry {
 // needed. It returns the inserted entry and, if an eviction occurred, a copy
 // of the victim (valid bit via ok).
 func (c *Cache) Insert(l topology.Line, s State) (e *Entry, victim Entry, ok bool) {
+	if c.fa != nil {
+		return c.faInsert(l, s)
+	}
 	si := c.setOf(l)
 	set := c.sets[si]
 	// Reuse an invalid slot or replace in place if line already present.
@@ -179,6 +203,12 @@ func (c *Cache) Insert(l topology.Line, s State) (e *Entry, victim Entry, ok boo
 // VictimFor returns a copy of the entry that Insert would evict for line l,
 // without modifying the cache. ok is false when no eviction would occur.
 func (c *Cache) VictimFor(l topology.Line) (victim Entry, ok bool) {
+	if c.fa != nil {
+		if len(c.fa.free) > 0 || c.fa.pos(l) >= 0 {
+			return Entry{}, false
+		}
+		return c.fa.slots[c.fa.head], true
+	}
 	si := c.setOf(l)
 	set := c.sets[si]
 	for i := range set {
@@ -205,6 +235,9 @@ func (c *Cache) VictimFor(l topology.Line) (victim Entry, ok bool) {
 
 // Invalidate removes a line; it reports whether the line was present.
 func (c *Cache) Invalidate(l topology.Line) bool {
+	if c.fa != nil {
+		return c.fa.invalidate(l)
+	}
 	set := c.sets[c.setOf(l)]
 	for i := range set {
 		if set[i].Line == l && set[i].State != Invalid {
@@ -215,9 +248,12 @@ func (c *Cache) Invalidate(l topology.Line) bool {
 	return false
 }
 
-// Occupancy returns the number of valid entries (O(capacity); intended for
-// tests and occasional stats, not hot paths).
+// Occupancy returns the number of valid entries (O(capacity) unless fully
+// associative; intended for tests and occasional stats, not hot paths).
 func (c *Cache) Occupancy() int {
+	if c.fa != nil {
+		return c.Capacity - len(c.fa.free)
+	}
 	n := 0
 	for _, set := range c.sets {
 		for i := range set {
@@ -245,6 +281,10 @@ func (c *Cache) ForEach(fn func(e *Entry) bool) {
 
 // Clear invalidates every entry (used by the dynamic protocol's drain phase).
 func (c *Cache) Clear() {
+	if c.fa != nil {
+		c.fa.reset()
+		return
+	}
 	for _, set := range c.sets {
 		for i := range set {
 			set[i].State = Invalid

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -237,4 +239,237 @@ func TestMSHRPanics(t *testing.T) {
 		}()
 		m.Release(line(3))
 	}()
+}
+
+// linearFA is the fully associative cache as one set of LRU-tick entries
+// scanned linearly: the reference the indexed cache must agree with.
+type linearFA struct {
+	set                  []Entry
+	ways                 int
+	tick                 uint64
+	hits, misses, evicts uint64
+}
+
+func (r *linearFA) find(l topology.Line) int {
+	for i := range r.set {
+		if r.set[i].Line == l && r.set[i].State != Invalid {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *linearFA) lru() int {
+	vi := 0
+	for i := 1; i < len(r.set); i++ {
+		if r.set[i].lru < r.set[vi].lru {
+			vi = i
+		}
+	}
+	return vi
+}
+
+func (r *linearFA) lookup(l topology.Line) *Entry {
+	i := r.find(l)
+	if i < 0 {
+		r.misses++
+		return nil
+	}
+	r.tick++
+	r.set[i].lru = r.tick
+	r.hits++
+	return &r.set[i]
+}
+
+func (r *linearFA) peek(l topology.Line) *Entry {
+	if i := r.find(l); i >= 0 {
+		return &r.set[i]
+	}
+	return nil
+}
+
+func (r *linearFA) insert(l topology.Line, s State) (*Entry, Entry, bool) {
+	r.tick++
+	if i := r.find(l); i >= 0 {
+		r.set[i].State = s
+		r.set[i].lru = r.tick
+		return &r.set[i], Entry{}, false
+	}
+	fresh := Entry{Line: l, State: s, Owner: -1, lru: r.tick}
+	for i := range r.set {
+		if r.set[i].State == Invalid {
+			r.set[i] = fresh
+			return &r.set[i], Entry{}, false
+		}
+	}
+	if len(r.set) < r.ways {
+		r.set = append(r.set, fresh)
+		return &r.set[len(r.set)-1], Entry{}, false
+	}
+	vi := r.lru()
+	victim := r.set[vi]
+	r.evicts++
+	r.set[vi] = fresh
+	return &r.set[vi], victim, true
+}
+
+func (r *linearFA) victimFor(l topology.Line) (Entry, bool) {
+	if r.find(l) >= 0 || r.occupancy() < r.ways {
+		return Entry{}, false
+	}
+	return r.set[r.lru()], true
+}
+
+func (r *linearFA) invalidate(l topology.Line) bool {
+	if i := r.find(l); i >= 0 {
+		r.set[i].State = Invalid
+		return true
+	}
+	return false
+}
+
+func (r *linearFA) occupancy() int {
+	n := 0
+	for i := range r.set {
+		if r.set[i].State != Invalid {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *linearFA) clear() {
+	for i := range r.set {
+		r.set[i].State = Invalid
+	}
+}
+
+// public drops the unexported LRU tick, which only the reference keeps.
+func public(e Entry) Entry {
+	e.lru = 0
+	return e
+}
+
+// TestFullyAssocMatchesLinearScan drives the indexed fully associative
+// cache and the linear reference with the same seeded random calls and
+// checks, after every call, that they return the same entries and victims,
+// count the same hits, misses and evictions, and hold the same lines.
+func TestFullyAssocMatchesLinearScan(t *testing.T) {
+	for _, capacity := range []int{1, 4, 2048, 4096} {
+		ops := 4000 + 10*capacity // long enough to fill and evict twice
+		c := NewFullyAssoc(capacity, 64)
+		ref := &linearFA{ways: capacity}
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		keys := uint64(2*capacity + 2) // evictions once full
+		var evictsAtClear uint64
+		for step := 0; step < ops; step++ {
+			l := line(rng.Uint64() % keys)
+			where := func(call string) string {
+				return fmt.Sprintf("capacity %d step %d: %s(%#x)", capacity, step, call, uint64(l))
+			}
+			sameEntry := func(call string, got, want *Entry) {
+				if (got == nil) != (want == nil) || got != nil && public(*got) != public(*want) {
+					t.Fatalf("%s = %+v, want %+v", where(call), got, want)
+				}
+			}
+			switch k := rng.Intn(100); {
+			case step == ops/2:
+				evictsAtClear = c.Evicts
+				c.Clear()
+				ref.clear()
+				for i := range ref.set { // every line resident before
+					sameEntry("Peek after Clear", c.Peek(ref.set[i].Line), nil)
+				}
+			case k < 35:
+				got, want := c.Lookup(l), ref.lookup(l)
+				sameEntry("Lookup", got, want)
+				if got != nil && rng.Intn(4) == 0 { // metadata must survive later calls
+					got.Dirty, want.Dirty = true, true
+					got.Sharers, want.Sharers = uint64(step), uint64(step)
+					got.Owner, want.Owner = int8(step%8), int8(step%8)
+				}
+			case k < 43:
+				sameEntry("Peek", c.Peek(l), ref.peek(l))
+			case k < 80:
+				st := State(1 + rng.Intn(4))
+				got, gv, gok := c.Insert(l, st)
+				want, wv, wok := ref.insert(l, st)
+				sameEntry("Insert", got, want)
+				if gok != wok || public(gv) != public(wv) {
+					t.Fatalf("%s victim = %+v/%v, want %+v/%v", where("Insert"), gv, gok, wv, wok)
+				}
+			case k < 94:
+				gv, gok := c.VictimFor(l)
+				wv, wok := ref.victimFor(l)
+				if gok != wok || public(gv) != public(wv) {
+					t.Fatalf("%s = %+v/%v, want %+v/%v", where("VictimFor"), gv, gok, wv, wok)
+				}
+			default:
+				if got, want := c.Invalidate(l), ref.invalidate(l); got != want {
+					t.Fatalf("%s = %v, want %v", where("Invalidate"), got, want)
+				}
+			}
+			if c.Hits != ref.hits || c.Misses != ref.misses || c.Evicts != ref.evicts {
+				t.Fatalf("%s: hits/misses/evicts %d/%d/%d, want %d/%d/%d", where("after"),
+					c.Hits, c.Misses, c.Evicts, ref.hits, ref.misses, ref.evicts)
+			}
+			if got, want := c.Occupancy(), ref.occupancy(); got != want {
+				t.Fatalf("%s: occupancy %d, want %d", where("after"), got, want)
+			}
+			if testing.Short() && step%64 != 0 && step != ops-1 {
+				continue // the O(capacity) sweep dominates under -race
+			}
+			for i := range ref.set {
+				if want := &ref.set[i]; want.State != Invalid {
+					sameEntry("resident Peek", c.Peek(want.Line), want)
+				}
+			}
+		}
+		if evictsAtClear == 0 || c.Evicts == evictsAtClear {
+			t.Fatalf("capacity %d: %d evictions before Clear, %d after; want both nonzero",
+				capacity, evictsAtClear, c.Evicts-evictsAtClear)
+		}
+	}
+}
+
+// faMix is a miss-heavy replica-directory access pattern: look a line up,
+// insert it on a miss, and invalidate one line in eight.
+func faMix(c *Cache, x *uint64) {
+	for i := 0; i < 64; i++ {
+		*x = *x*6364136223846793005 + 1442695040888963407
+		l := line(*x >> 52) // 4096 lines for 2048 entries
+		if i%8 == 7 {
+			c.Invalidate(l)
+		} else if c.Lookup(l) == nil {
+			c.Insert(l, Shared)
+		}
+	}
+}
+
+// TestFullyAssocSteadyStateAllocs pins the index at zero allocations once
+// the replica directory is warm.
+func TestFullyAssocSteadyStateAllocs(t *testing.T) {
+	c := NewFullyAssoc(2048, 64)
+	x := uint64(1)
+	for i := 0; i < 256; i++ {
+		faMix(c, &x)
+	}
+	if a := testing.AllocsPerRun(1000, func() { faMix(c, &x) }); a != 0 {
+		t.Fatalf("%.2f allocs per 64-access mix, want 0", a)
+	}
+}
+
+// BenchmarkFullyAssoc measures one access of the faMix pattern on a warm
+// 2048-entry replica directory.
+func BenchmarkFullyAssoc(b *testing.B) {
+	c := NewFullyAssoc(2048, 64)
+	x := uint64(1)
+	for i := 0; i < 256; i++ {
+		faMix(c, &x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += 64 {
+		faMix(c, &x)
+	}
 }

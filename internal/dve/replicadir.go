@@ -477,8 +477,7 @@ func (rd *ReplicaDir) recordOwnership(l topology.Line) {
 // eviction of the victim is safe in both modes (allow: absence = no; deny:
 // the durable backing holds the truth).
 func (rd *ReplicaDir) insertEntry(l topology.Line, st cache.State) {
-	e, _, _ := rd.store.Insert(l, st)
-	e.State = st
+	rd.store.Insert(l, st)
 }
 
 // LocalPUTM implements coherence.ReplicaAgent: a dirty writeback from this
