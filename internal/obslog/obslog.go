@@ -97,6 +97,11 @@ type Event struct {
 	Attempt int    `json:"attempt,omitempty"` // delivery attempt, 1-based
 	N       uint64 `json:"n,omitempty"`       // event-specific magnitude (depth, ms, bytes)
 	Detail  string `json:"detail,omitempty"`  // error text / free-form note
+
+	// Workload and Protocol name the cell, so a record alone can label its
+	// trace span.
+	Workload string `json:"workload,omitempty"`
+	Protocol string `json:"protocol,omitempty"`
 }
 
 // Sink receives emitted events. WriteEvent must be safe for concurrent use

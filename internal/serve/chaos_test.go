@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"dve/internal/dve"
+	"dve/internal/obslog"
 	"dve/internal/results"
 	"dve/internal/telemetry"
 	"dve/internal/topology"
@@ -212,10 +213,14 @@ func TestChaosFabric(t *testing.T) {
 	}
 
 	// ---- Chaos pass: same matrix, every fault at once. ------------------
+	// The coordinator records a debug log; at the end it must rebuild the
+	// live views.
 	s := newCoordinator(t, 100*time.Millisecond, 300*time.Millisecond,
 		func(spec workload.Spec, cfg topology.Config, classify bool) (*dve.Result, bool, error) {
 			return chaosResult(spec, cfg), false, nil
 		})
+	var logBuf bytes.Buffer
+	s.st.log = obslog.New(obslog.Options{Min: obslog.Debug, Ring: -1, Sink: obslog.NewJSONSink(&logBuf)})
 	s.Start()
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
@@ -265,7 +270,9 @@ func TestChaosFabric(t *testing.T) {
 			<-release
 			return nil, context.Canceled
 		})
-	go doomed.Run(doomedCtx)
+	var running sync.WaitGroup // worker loops, joined before the replay check
+	running.Add(1)
+	go func() { defer running.Done(); doomed.Run(doomedCtx) }()
 	pollChaos(t, ts.URL, "doomed worker registration", func(m Metrics) bool { return !m.Degraded })
 
 	resp, rr := postRun(t, ts.URL, chaosMatrix)
@@ -321,7 +328,8 @@ func TestChaosFabric(t *testing.T) {
 	for i, id := range []string{"w1", "w2"} {
 		w, tr := newChaosWorker(id, uint64(0xC0FFEE+i), chaosExec)
 		trs = append(trs, tr)
-		go w.Run(ctx)
+		running.Add(1)
+		go func() { defer running.Done(); w.Run(ctx) }()
 	}
 	kill()
 	close(release)
@@ -474,6 +482,15 @@ func TestChaosFabric(t *testing.T) {
 	if dropped == 0 && duplicated == 0 && corrupted == 0 {
 		t.Error("chaos transport injected no faults: probabilities or traffic volume too low to mean anything")
 	}
+
+	// ---- Replay: the debug log alone rebuilds the trace, every sweep's
+	// /watch terminal state and the ledger. Quiesce first: stop the
+	// workers, let in-flight requests finish, drain.
+	cancel()
+	running.Wait()
+	ts.Close()
+	s.Drain()
+	checkReplay(t, s, logBuf.Bytes())
 }
 
 // promValue extracts the value of a metric line from the text exposition.

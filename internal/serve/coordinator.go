@@ -109,8 +109,8 @@ func decodeFabric(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // touchWorker refreshes a worker's liveness window, registering it on first
 // contact (a coordinator restart must not orphan a live fleet that only
-// registered with its predecessor).
-func (s *Server) touchWorker(id string) *remoteWorker {
+// registered with its predecessor). It returns the worker's ID.
+func (s *Server) touchWorker(id string) string {
 	if id == "" {
 		id = "anonymous"
 	}
@@ -120,16 +120,19 @@ func (s *Server) touchWorker(id string) *remoteWorker {
 		rw = &remoteWorker{id: id}
 		s.remotes[id] = rw
 	}
-	rw.lastSeen = s.now()
+	rw.lastSeen = s.st.now()
 	s.remotesMu.Unlock()
+	if !ok {
+		s.st.emit(evWorkerRegistered, obslog.Event{Worker: id})
+	}
 	s.refreshDegraded()
-	return rw
+	return id
 }
 
 // workerCounts reports (registered, healthy) fabric workers. Healthy means
 // seen within the liveness window.
 func (s *Server) workerCounts() (registered, healthy int) {
-	cutoff := s.now() - s.workerTTL
+	cutoff := s.st.now() - s.workerTTL
 	s.remotesMu.Lock()
 	defer s.remotesMu.Unlock()
 	for _, rw := range s.remotes {
@@ -151,14 +154,12 @@ func (s *Server) refreshDegraded() {
 	_, healthy := s.workerCounts()
 	next := healthy == 0
 	if s.degraded.Swap(next) != next {
-		s.degradedTransitions.Add(1)
 		s.lq.broadcast()
-		event := "degraded_enter"
+		event := evDegradedEnter
 		if !next {
-			event = "degraded_exit"
+			event = evDegradedExit
 		}
-		s.log.Warn("coordinator", event, obslog.Event{N: uint64(healthy)})
-		s.ftrace.instant(event, s.now(), map[string]any{"healthy_workers": healthy})
+		s.st.emit(event, obslog.Event{N: uint64(healthy)})
 	}
 }
 
@@ -167,10 +168,7 @@ func (s *Server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeFabric(w, r, &req) {
 		return
 	}
-	rw := s.touchWorker(req.Worker)
-	if s.log.On(obslog.Info) {
-		s.log.Info("coordinator", "worker_registered", obslog.Event{Worker: rw.id})
-	}
+	s.touchWorker(req.Worker)
 	writeJSON(w, http.StatusOK, registerResponse{
 		LeaseTTLMillis: s.leaseTTL.Milliseconds(),
 	})
@@ -184,15 +182,11 @@ func (s *Server) handleFabricLease(w http.ResponseWriter, r *http.Request) {
 	if !decodeFabric(w, r, &req) {
 		return
 	}
-	rw := s.touchWorker(req.Worker)
-	l, ok := s.lq.tryLease(rw.id, false)
+	l, ok := s.lq.tryLease(s.touchWorker(req.Worker), false)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	s.remotesMu.Lock()
-	rw.leased++
-	s.remotesMu.Unlock()
 	s.setState(l.job.key, "running", "")
 	writeJSON(w, http.StatusOK, leaseGrant{
 		Lease:      l.id,
@@ -216,17 +210,9 @@ func (s *Server) handleFabricRenew(w http.ResponseWriter, r *http.Request) {
 	if !decodeFabric(w, r, &req) {
 		return
 	}
-	rw := s.touchWorker(req.Worker)
-	s.heartbeats.Add(1)
-	if !s.lq.renew(req.Lease) {
-		if s.log.On(obslog.Warn) {
-			s.log.Warn("coordinator", "renew_gone", obslog.Event{Worker: rw.id, Lease: req.Lease})
-		}
+	if !s.lq.renew(req.Lease, s.touchWorker(req.Worker)) {
 		writeJSON(w, http.StatusGone, map[string]string{"status": "lease gone"})
 		return
-	}
-	if s.log.On(obslog.Debug) {
-		s.log.Debug("coordinator", "lease_renewed", obslog.Event{Worker: rw.id, Lease: req.Lease})
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
 }
@@ -238,18 +224,15 @@ func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeFabric(w, r, &req) {
 		return
 	}
-	rw := s.touchWorker(req.Worker)
+	worker := s.touchWorker(req.Worker)
 	sum, err := results.PayloadSum(req.Payload)
 	if err != nil || sum != req.Sum {
 		// In-flight corruption: reject with 409 (the worker's retryable
 		// class) without touching the lease. The worker re-sends fresh
 		// bytes while its heartbeats keep the lease alive.
-		if s.log.On(obslog.Warn) {
-			s.log.Warn("coordinator", "complete_corrupt", obslog.Event{
-				Worker: rw.id, Lease: req.Lease, Key: req.Key,
-				Detail: "payload checksum mismatch",
-			})
-		}
+		s.st.emit(evCompleteCorrupt, obslog.Event{
+			Worker: worker, Lease: req.Lease, Key: req.Key, Detail: "payload checksum mismatch",
+		})
 		http.Error(w, "payload checksum mismatch", http.StatusConflict)
 		return
 	}
@@ -257,8 +240,9 @@ func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	st, known := s.jobs[key]
 	var status string
+	var j job
 	if known {
-		status = st.status
+		status, j = st.status, st.job
 	}
 	s.mu.Unlock()
 	if !known {
@@ -267,41 +251,32 @@ func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusGone, map[string]string{"status": "unknown cell"})
 		return
 	}
-	if l, ok := s.lq.complete(req.Lease); ok {
-		if string(l.job.key) != req.Key {
-			// The lease and the payload disagree: treat as a failed attempt
-			// so the cell is re-enqueued rather than mis-filed.
-			s.lq.fail(req.Lease, "complete for mismatched key")
-			http.Error(w, "lease/key mismatch", http.StatusBadRequest)
-			return
-		}
-	} else {
-		// Lease already gone. If the cell is done this is a duplicate
-		// message — fine (unless the entry has since been corrupted on
-		// disk, in which case the fresh payload below re-lands it).
-		// Otherwise the lease expired while the worker was slow-but-alive:
-		// the result is still the deterministic truth, so accept it and
-		// cancel the cell's requeued incarnation.
-		if status == "done" && s.cache.Contains(key) {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
-			return
-		}
-		s.lq.completeKey(req.Key)
+	leased, live := s.lq.leaseKey(req.Lease)
+	switch {
+	case live && leased != key:
+		// The lease and the payload disagree: treat as a failed attempt so
+		// the cell is re-enqueued rather than mis-filed.
+		s.lq.fail(req.Lease, "complete for mismatched key")
+		http.Error(w, "lease/key mismatch", http.StatusBadRequest)
+		return
+	case !live && status == "done" && s.cache.Contains(key):
+		// Lease already gone and the cell done: a duplicate message. (A done
+		// cell whose entry has since been corrupted on disk falls through,
+		// and the fresh payload re-lands it.)
+		writeJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
+		return
 	}
 	if !s.cache.Contains(key) {
-		if err := s.cache.Put(key, req.Payload); err != nil {
-			s.failed.Add(1)
-			s.setState(key, "failed", err.Error())
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
+		err = s.cache.Put(key, req.Payload)
 	}
-	s.remotesMu.Lock()
-	rw.completed++
-	s.remotesMu.Unlock()
-	s.remoteCompleted.Add(1)
-	s.completed.Add(1)
-	s.setState(key, "done", "")
+	// A lease that expired meanwhile makes this a late result: still the
+	// deterministic truth, so retire cancels the cell's requeued
+	// incarnation instead of re-running it.
+	s.finish(req.Lease, j, worker, err)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "done"})
 }
 
@@ -315,21 +290,17 @@ func (s *Server) handleFabricFail(w http.ResponseWriter, r *http.Request) {
 	if !decodeFabric(w, r, &req) {
 		return
 	}
-	rw := s.touchWorker(req.Worker)
-	s.remotesMu.Lock()
-	rw.failed++
-	s.remotesMu.Unlock()
-	s.remoteFailed.Add(1)
+	worker := s.touchWorker(req.Worker)
 	reason := req.Error
 	if reason == "" {
 		reason = "worker reported failure"
 	}
-	s.lq.fail(req.Lease, fmt.Sprintf("worker %s: %s", rw.id, reason))
+	s.st.emit(evFailReported, obslog.Event{Worker: worker, Lease: req.Lease, Detail: reason})
+	s.lq.fail(req.Lease, fmt.Sprintf("worker %s: %s", worker, reason))
 	writeJSON(w, http.StatusOK, map[string]string{"status": "requeued"})
 }
 
-// FabricAddr is a tiny helper for tests and CLIs: the canonical fabric
-// endpoint paths, kept next to their handlers.
+// The fabric endpoint paths, kept next to their handlers.
 const (
 	pathRegister = "/fabric/register"
 	pathLease    = "/fabric/lease"

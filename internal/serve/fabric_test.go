@@ -373,7 +373,7 @@ func TestLateCompleteAfterExpiry(t *testing.T) {
 	// Force the lease to expire (fail() plays the expiry's role
 	// deterministically: the cell returns to pending, the lease dies).
 	s.lq.fail(grant.Lease, "simulated expiry")
-	if st := s.lq.stats(); st.Pending != 1 {
+	if st := s.st.ledgerMetrics(); st.QueueLen != 1 {
 		t.Fatalf("cell not requeued: %+v", st)
 	}
 
@@ -383,7 +383,7 @@ func TestLateCompleteAfterExpiry(t *testing.T) {
 		Worker: "slow", Lease: grant.Lease, Key: grant.Key, Payload: payload, Sum: sum}); code != http.StatusOK {
 		t.Fatalf("late complete = %d, want 200", code)
 	}
-	if st := s.lq.stats(); st.Pending != 0 || st.Leased != 0 {
+	if st := s.st.ledgerMetrics(); st.QueueLen != 0 || st.Leased != 0 {
 		t.Fatalf("late complete left the requeued incarnation: %+v", st)
 	}
 	r2, err := http.Get(ts.URL + "/result/" + grant.Key)

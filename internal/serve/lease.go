@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"dve/internal/stats"
+	"dve/internal/obslog"
+	"dve/internal/results"
 )
 
 // The lease queue is the fabric's unit of fault tolerance. A cell is never
@@ -43,35 +43,6 @@ type queuedCell struct {
 	enqueuedAt time.Duration
 }
 
-// Queue lifecycle event kinds, in the order a healthy cell sees them.
-const (
-	evEnqueued  = "enqueued"
-	evGranted   = "granted"
-	evCompleted = "completed"
-	evFailed    = "failed"    // worker-reported failure (before requeue/poison)
-	evExpired   = "expired"   // lease passed its deadline (before requeue/poison)
-	evRequeued  = "requeued"  // cell returned to the front of the queue
-	evPoisoned  = "poisoned"  // attempt budget spent; cell quarantined
-	evCancelled = "cancelled" // in-flight incarnation cancelled by a late result
-)
-
-// queueEvent is one observed state transition, emitted to the server's
-// observability hook strictly outside the queue lock. depth is the pending
-// length *after* the transition, so consumers can treat the stream as an
-// exact queue-depth gauge rather than a sampled one.
-type queueEvent struct {
-	kind     string
-	j        job
-	leaseID  uint64
-	owner    string
-	local    bool
-	attempts int
-	reason   string
-	depth    int
-	waited   time.Duration // granted only: enqueue → grant latency
-	at       time.Duration
-}
-
 // lease is one granted cell. id is unique for the server's lifetime so a
 // stale renew/complete from a worker whose lease already expired can never
 // touch the cell's next incarnation.
@@ -86,35 +57,17 @@ type lease struct {
 	deadline time.Duration
 }
 
-// leaseStats is a point-in-time snapshot of the queue's fault counters.
-type leaseStats struct {
-	Pending   int
-	Leased    int
-	Expired   uint64
-	Requeued  uint64
-	Poisoned  uint64
-	Renewals  uint64
-	Completed uint64
-	// LeaseWait is the enqueue→grant latency distribution in milliseconds —
-	// the placement signal ROADMAP item 1 wants (a queue whose wait grows is
-	// starved for workers).
-	LeaseWait stats.Histogram
-	// LeasedByOwner counts outstanding leases per owner — the per-node
-	// in-flight gauge. Computed from live leases, so expiry is reflected
-	// immediately.
-	LeasedByOwner map[string]int
-}
-
 // leaseQueue is the coordinator's cell queue. All methods are safe for
 // concurrent use. cond is broadcast on every state change so blocked local
-// workers and Drain observe progress.
+// workers and Drain observe progress. Every transition is an event on the
+// server's stream; the stream's ledger does the counting.
 type leaseQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	ttl         time.Duration
 	maxAttempts int
-	now         func() time.Duration
+	st          *stream
 
 	pending []queuedCell // FIFO
 	leases  map[uint64]*lease
@@ -125,36 +78,21 @@ type leaseQueue struct {
 	// marks the job failed. Called without mu held.
 	poisoned func(j job, attempts int, lastErr string)
 
-	// onEvent observes every queue transition. Called without mu held (the
-	// server's handler takes its own locks and must not nest inside ours);
-	// events collected under mu are flushed right after unlock, the same
-	// discipline poisonReport already follows.
-	onEvent func(queueEvent)
-	evBuf   []queueEvent // guarded by mu; drained before every unlock
-	// emitMu serialises flushes in collection order (see flushAndUnlock):
-	// without it, two goroutines' batches could interleave and a grant could
-	// reach the trace before the expiry that preceded it in queue order.
-	emitMu sync.Mutex
-
-	// depthGauge mirrors len(pending), updated inside every mutation while
-	// mu is held — a true transition-time gauge, not a sampling-time read.
-	depthGauge atomic.Int64
-
-	waitHist stats.Histogram // enqueue→grant latency (ms), guarded by mu
-
-	expired, requeued, poisonCount, renewals, completed uint64 // guarded by mu
+	evBuf []obslog.Event // guarded by mu; drained before every unlock
 }
 
-func newLeaseQueue(ttl time.Duration, maxAttempts int, now func() time.Duration) *leaseQueue {
+func newLeaseQueue(ttl time.Duration, maxAttempts int, st *stream) *leaseQueue {
 	q := &leaseQueue{
 		ttl:         ttl,
 		maxAttempts: maxAttempts,
-		now:         now,
+		st:          st,
 		leases:      make(map[uint64]*lease),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
+
+func (q *leaseQueue) now() time.Duration { return q.st.now() }
 
 // broadcast wakes every waiter (blocked local workers, Drain). Safe to call
 // without mu; used by the server when worker liveness changes so a local
@@ -165,39 +103,40 @@ func (q *leaseQueue) broadcast() {
 	q.mu.Unlock()
 }
 
-// noteLocked records a transition for the observability hook, stamping the
-// post-transition depth and the queue clock. mu must be held.
-func (q *leaseQueue) noteLocked(ev queueEvent) {
-	q.depthGauge.Store(int64(len(q.pending)))
-	if q.onEvent == nil {
-		return
-	}
-	ev.depth = len(q.pending)
-	ev.at = q.now()
+// noteLocked stamps one transition and buffers it for flushAndUnlock. mu
+// must be held.
+func (q *leaseQueue) noteLocked(name string, ev obslog.Event) {
+	q.st.stamp(name, &ev)
 	q.evBuf = append(q.evBuf, ev)
 }
 
-// flushAndUnlock delivers the collected events to the hook in exactly the
+// leaseEvent is the record for a transition of lease l.
+func leaseEvent(l *lease) obslog.Event {
+	ev := cellEvent(l.job)
+	ev.Lease, ev.Worker, ev.Attempt = l.id, l.owner, l.attempts
+	return ev
+}
+
+// flushAndUnlock applies the buffered events to the stream in exactly the
 // order the queue recorded them, then releases mu; mu must be held on
-// entry. The emit mutex is lock-
-// chained — acquired while mu is still held, released only after delivery —
-// so two flushers can never interleave their batches: a grant flushed by
-// one goroutine cannot overtake the expiry another goroutine collected
-// first, which the lifecycle trace's span nesting depends on. onEvent runs
-// under emitMu but outside mu; it must not take mu or the server's job lock.
+// entry. The stream mutex is lock-chained — acquired while mu is still
+// held, released only after delivery — so two flushers can never
+// interleave their batches: a grant flushed by one goroutine cannot
+// overtake the expiry another goroutine collected first, which the
+// lifecycle trace's span nesting depends on.
 func (q *leaseQueue) flushAndUnlock() {
 	evs := q.evBuf
 	q.evBuf = nil
-	if len(evs) == 0 || q.onEvent == nil {
+	if len(evs) == 0 {
 		q.mu.Unlock()
 		return
 	}
-	q.emitMu.Lock()
+	q.st.mu.Lock()
 	q.mu.Unlock()
 	for i := range evs {
-		q.onEvent(evs[i])
+		q.st.apply(&evs[i])
 	}
-	q.emitMu.Unlock()
+	q.st.mu.Unlock()
 }
 
 // enqueue appends a fresh cell. Returns false when the queue is closed
@@ -209,24 +148,10 @@ func (q *leaseQueue) enqueue(j job, depth int) bool {
 		return false
 	}
 	q.pending = append(q.pending, queuedCell{job: j, attempts: 0, enqueuedAt: q.now()})
-	q.noteLocked(queueEvent{kind: evEnqueued, j: j})
+	q.noteLocked(evEnqueued, cellEvent(j))
 	q.cond.Broadcast()
 	q.flushAndUnlock()
 	return true
-}
-
-// pendingLen reports cells waiting for a lease (the backpressure signal).
-func (q *leaseQueue) pendingLen() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
-
-// depth is the transition-time queue-depth gauge: updated on every enqueue,
-// grant, requeue and cancellation while the queue lock is held, so a scrape
-// never reads a value the queue did not actually pass through.
-func (q *leaseQueue) depth() int {
-	return int(q.depthGauge.Load())
 }
 
 // grantLocked pops the oldest pending cell into a new lease. mu must be
@@ -250,11 +175,9 @@ func (q *leaseQueue) grantLocked(owner string, local bool) *lease {
 	if waited < 0 {
 		waited = 0
 	}
-	q.waitHist.Add(uint64(waited.Milliseconds()))
-	q.noteLocked(queueEvent{
-		kind: evGranted, j: c.job, leaseID: l.id, owner: owner,
-		local: local, attempts: l.attempts, waited: waited,
-	})
+	ev := leaseEvent(l)
+	ev.N = uint64(waited.Milliseconds())
+	q.noteLocked(evGranted, ev)
 	q.cond.Broadcast()
 	return l
 }
@@ -270,16 +193,15 @@ func (q *leaseQueue) tryLease(owner string, local bool) (*lease, bool) {
 		l = q.grantLocked(owner, local)
 	}
 	q.flushAndUnlock()
-	for _, p := range poisons {
-		q.emitPoison(p)
-	}
+	q.emitPoisons(poisons)
 	return l, l != nil
 }
 
-// renew extends a remote lease's deadline. False means the lease is gone —
-// expired, completed, or never granted — and the caller must abandon the
-// cell (its next incarnation belongs to someone else).
-func (q *leaseQueue) renew(id uint64) bool {
+// renew extends a remote lease's deadline on worker's heartbeat. False
+// means the lease is gone — expired, completed, or never granted — and the
+// caller must abandon the cell (its next incarnation belongs to someone
+// else).
+func (q *leaseQueue) renew(id uint64, worker string) bool {
 	q.mu.Lock()
 	poisons := q.reapLocked()
 	l, ok := q.leases[id]
@@ -287,65 +209,78 @@ func (q *leaseQueue) renew(id uint64) bool {
 		if !l.local {
 			l.deadline = q.now() + q.ttl
 		}
-		q.renewals++
+		q.noteLocked(evRenewed, leaseEvent(l))
+	} else {
+		q.noteLocked(evRenewGone, obslog.Event{Lease: id, Worker: worker})
 	}
 	q.flushAndUnlock()
-	for _, p := range poisons {
-		q.emitPoison(p)
-	}
+	q.emitPoisons(poisons)
 	return ok
 }
 
-// complete retires a lease after its cell's result landed in the cache. The
-// returned lease copy carries the owner and attempt count so the caller can
-// attribute the completion (trace span, per-node counters).
-func (q *leaseQueue) complete(id uint64) (lease, bool) {
+// leaseKey returns the key of the cell live lease id holds.
+func (q *leaseQueue) leaseKey(id uint64) (results.Key, bool) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	l, ok := q.leases[id]
 	if !ok {
-		q.mu.Unlock()
-		return lease{}, false
+		return "", false
 	}
-	delete(q.leases, id)
-	q.completed++
-	done := *l
-	q.noteLocked(queueEvent{
-		kind: evCompleted, j: l.job, leaseID: l.id, owner: l.owner,
-		local: l.local, attempts: l.attempts,
-	})
-	q.cond.Broadcast()
-	q.flushAndUnlock()
-	return done, true
+	return l.job.key, true
 }
 
-// completeKey retires whatever incarnation of the cell with this key is in
-// flight: a pending copy is dropped, an outstanding lease is cancelled.
-// Used when a result arrives for a cell whose original lease already
-// expired (a slow-but-alive worker, a duplicated message): the result is
-// valid — simulations are deterministic — so re-running the cell would only
-// waste a worker.
-func (q *leaseQueue) completeKey(key string) {
+// retire records cell j's outcome: done when errMsg is empty, failed with
+// errMsg otherwise. When lease id is still live it is retired; otherwise
+// the result is late (its lease expired while a slow-but-alive worker
+// finished) and whatever incarnation of j is in flight — a pending copy or
+// another lease — is cancelled, since simulations are deterministic and a
+// re-run would only waste a worker. owner attributes a late outcome.
+// Reports whether lease id was live.
+func (q *leaseQueue) retire(id uint64, j job, owner, errMsg string) bool {
 	q.mu.Lock()
+	l, live := q.leases[id]
+	var ev obslog.Event
+	if live {
+		delete(q.leases, id)
+		ev = leaseEvent(l)
+	} else {
+		q.cancelLocked(j.key)
+		ev = cellEvent(j)
+		ev.Lease, ev.Worker = id, owner
+	}
+	ev.Detail = errMsg
+	name := evCompleted
+	if errMsg != "" {
+		name = evFailed
+	}
+	q.noteLocked(name, ev)
+	q.cond.Broadcast()
+	q.flushAndUnlock()
+	return live
+}
+
+// cancelLocked drops the pending copy and any outstanding lease of the cell
+// with this key. mu must be held.
+func (q *leaseQueue) cancelLocked(key results.Key) {
+	const reason = "late result landed"
 	for i := range q.pending {
-		if string(q.pending[i].job.key) == key {
-			j := q.pending[i].job
+		if q.pending[i].job.key == key {
+			ev := cellEvent(q.pending[i].job)
+			ev.Detail = reason
 			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			q.noteLocked(queueEvent{kind: evCancelled, j: j, reason: "late result landed"})
+			q.noteLocked(evCancelled, ev)
 			break
 		}
 	}
 	for id, l := range q.leases {
-		if string(l.job.key) == key {
+		if l.job.key == key {
 			delete(q.leases, id)
-			q.noteLocked(queueEvent{
-				kind: evCancelled, j: l.job, leaseID: l.id, owner: l.owner,
-				local: l.local, attempts: l.attempts, reason: "late result landed",
-			})
+			ev := leaseEvent(l)
+			ev.Detail = reason
+			q.noteLocked(evCancelled, ev)
 			break
 		}
 	}
-	q.cond.Broadcast()
-	q.flushAndUnlock()
 }
 
 // fail returns a leased cell to the queue (or poisons it past the attempt
@@ -358,15 +293,14 @@ func (q *leaseQueue) fail(id uint64, reason string) bool {
 		return false
 	}
 	delete(q.leases, id)
-	q.noteLocked(queueEvent{
-		kind: evFailed, j: l.job, leaseID: l.id, owner: l.owner,
-		local: l.local, attempts: l.attempts, reason: reason,
-	})
+	ev := leaseEvent(l)
+	ev.Detail = reason
+	q.noteLocked(evAttemptFailed, ev)
 	poison := q.requeueLocked(l, reason)
 	q.cond.Broadcast()
 	q.flushAndUnlock()
 	if poison != nil {
-		q.emitPoison(*poison)
+		q.emitPoisons([]poisonReport{*poison})
 	}
 	return true
 }
@@ -378,10 +312,17 @@ type poisonReport struct {
 	lastErr  string
 }
 
-func (q *leaseQueue) emitPoison(p poisonReport) {
-	if q.poisoned != nil {
-		q.poisoned(p.j, p.attempts, p.lastErr)
+func (q *leaseQueue) emitPoisons(ps []poisonReport) {
+	for _, p := range ps {
+		if q.poisoned != nil {
+			q.poisoned(p.j, p.attempts, p.lastErr)
+		}
 	}
+}
+
+// poisonDetail is a quarantined cell's error text.
+func poisonDetail(attempts int, lastErr string) string {
+	return fmt.Sprintf("poisoned after %d attempts: %s", attempts, lastErr)
 }
 
 // requeueLocked re-enqueues a dead lease's cell, or returns a poison report
@@ -389,20 +330,15 @@ func (q *leaseQueue) emitPoison(p poisonReport) {
 // to the front: they are the oldest work in the system and a re-run is
 // latency someone is already waiting on.
 func (q *leaseQueue) requeueLocked(l *lease, reason string) *poisonReport {
+	ev := leaseEvent(l)
 	if l.attempts >= q.maxAttempts {
-		q.poisonCount++
-		q.noteLocked(queueEvent{
-			kind: evPoisoned, j: l.job, leaseID: l.id, owner: l.owner,
-			local: l.local, attempts: l.attempts, reason: reason,
-		})
+		ev.Detail = poisonDetail(l.attempts, reason)
+		q.noteLocked(evPoisoned, ev)
 		return &poisonReport{j: l.job, attempts: l.attempts, lastErr: reason}
 	}
-	q.requeued++
 	q.pending = append([]queuedCell{{job: l.job, attempts: l.attempts, lastErr: reason, enqueuedAt: q.now()}}, q.pending...)
-	q.noteLocked(queueEvent{
-		kind: evRequeued, j: l.job, leaseID: l.id, owner: l.owner,
-		local: l.local, attempts: l.attempts, reason: reason,
-	})
+	ev.Detail = reason
+	q.noteLocked(evRequeued, ev)
 	return nil
 }
 
@@ -415,9 +351,7 @@ func (q *leaseQueue) tick() {
 		q.cond.Broadcast()
 	}
 	q.flushAndUnlock()
-	for _, p := range poisons {
-		q.emitPoison(p)
-	}
+	q.emitPoisons(poisons)
 }
 
 // reapLocked expires overdue remote leases, re-enqueueing or poisoning
@@ -439,12 +373,10 @@ func (q *leaseQueue) reapLocked() []poisonReport {
 	var poisons []poisonReport
 	for _, l := range dead {
 		delete(q.leases, l.id)
-		q.expired++
 		reason := fmt.Sprintf("lease %d (owner %s) expired after attempt %d", l.id, l.owner, l.attempts)
-		q.noteLocked(queueEvent{
-			kind: evExpired, j: l.job, leaseID: l.id, owner: l.owner,
-			local: l.local, attempts: l.attempts, reason: reason,
-		})
+		ev := leaseEvent(l)
+		ev.Detail = reason
+		q.noteLocked(evExpired, ev)
 		if p := q.requeueLocked(l, reason); p != nil {
 			poisons = append(poisons, *p)
 		}
@@ -491,26 +423,5 @@ func (q *leaseQueue) acquire(owner string, local bool, allowed func() bool) (*le
 			return nil, false
 		}
 		q.cond.Wait()
-	}
-}
-
-// stats snapshots the queue's counters.
-func (q *leaseQueue) stats() leaseStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	byOwner := make(map[string]int, len(q.leases))
-	for _, l := range q.leases {
-		byOwner[l.owner]++
-	}
-	return leaseStats{
-		Pending:       len(q.pending),
-		Leased:        len(q.leases),
-		Expired:       q.expired,
-		Requeued:      q.requeued,
-		Poisoned:      q.poisonCount,
-		Renewals:      q.renewals,
-		Completed:     q.completed,
-		LeaseWait:     q.waitHist,
-		LeasedByOwner: byOwner,
 	}
 }

@@ -35,8 +35,14 @@ func testJob(key string) job { return job{key: results.Key(key)} }
 
 func newTestQueue(ttl time.Duration, maxAttempts int) (*leaseQueue, *testClock) {
 	c := &testClock{}
-	return newLeaseQueue(ttl, maxAttempts, c.Now), c
+	return newLeaseQueue(ttl, maxAttempts, newStream(c.Now, nil, 0)), c
 }
+
+// ledgerOf reads the queue's counters back from the stream's ledger.
+func ledgerOf(q *leaseQueue) Metrics { return q.st.ledgerMetrics() }
+
+// complete retires a live lease as done.
+func complete(q *leaseQueue, l *lease) bool { return q.retire(l.id, l.job, l.owner, "") }
 
 func TestLeaseGrantRenewComplete(t *testing.T) {
 	q, clk := newTestQueue(100*time.Millisecond, 3)
@@ -50,18 +56,18 @@ func TestLeaseGrantRenewComplete(t *testing.T) {
 	// Renewal pushes the deadline: 80ms steps never expire a 100ms TTL.
 	for i := 0; i < 5; i++ {
 		clk.Advance(80 * time.Millisecond)
-		if !q.renew(l.id) {
+		if !q.renew(l.id, "w1") {
 			t.Fatalf("renew %d failed", i)
 		}
 	}
 	q.tick()
-	if s := q.stats(); s.Expired != 0 || s.Leased != 1 {
+	if s := ledgerOf(q); s.LeaseExpired != 0 || s.Leased != 1 {
 		t.Fatalf("stats after renewals: %+v", s)
 	}
-	if _, ok := q.complete(l.id); !ok {
+	if !complete(q, l) {
 		t.Fatal("complete failed")
 	}
-	if s := q.stats(); s.Leased != 0 || s.Completed != 1 || s.Renewals != 5 {
+	if s := ledgerOf(q); s.Leased != 0 || s.Completed != 1 || s.Renewals != 5 {
 		t.Fatalf("final stats: %+v", s)
 	}
 }
@@ -72,11 +78,11 @@ func TestLeaseExpiryRequeuesWithAttemptCount(t *testing.T) {
 	l1, _ := q.tryLease("w1", false)
 	clk.Advance(101 * time.Millisecond)
 	q.tick()
-	if s := q.stats(); s.Expired != 1 || s.Requeued != 1 || s.Pending != 1 || s.Leased != 0 {
+	if s := ledgerOf(q); s.LeaseExpired != 1 || s.Requeued != 1 || s.QueueLen != 1 || s.Leased != 0 {
 		t.Fatalf("post-expiry stats: %+v", s)
 	}
 	// The dead lease is unrenewable: its next incarnation is someone else's.
-	if q.renew(l1.id) {
+	if q.renew(l1.id, "w1") {
 		t.Fatal("renew succeeded on an expired lease")
 	}
 	l2, ok := q.tryLease("w2", false)
@@ -101,14 +107,14 @@ func TestLeasePoisonCap(t *testing.T) {
 		clk.Advance(101 * time.Millisecond)
 		q.tick()
 	}
-	s := q.stats()
-	if s.Poisoned != 1 || s.Pending != 0 || s.Leased != 0 {
+	s := ledgerOf(q)
+	if s.Poisoned != 1 || s.QueueLen != 0 || s.Leased != 0 {
 		t.Fatalf("stats after poison: %+v", s)
 	}
 	if poisonedAttempts != 2 || poisonedErr == "" {
 		t.Fatalf("poison report: attempts=%d err=%q", poisonedAttempts, poisonedErr)
 	}
-	if s.Expired != 2 || s.Requeued != 1 {
+	if s.LeaseExpired != 2 || s.Requeued != 1 {
 		t.Fatalf("expiry ledger: %+v", s)
 	}
 }
@@ -119,10 +125,10 @@ func TestLocalLeaseNeverExpires(t *testing.T) {
 	l, _ := q.tryLease("local-0", true)
 	clk.Advance(24 * time.Hour)
 	q.tick()
-	if s := q.stats(); s.Expired != 0 || s.Leased != 1 {
+	if s := ledgerOf(q); s.LeaseExpired != 0 || s.Leased != 1 {
 		t.Fatalf("local lease expired: %+v", s)
 	}
-	if _, ok := q.complete(l.id); !ok {
+	if !complete(q, l) {
 		t.Fatal("complete failed after long run")
 	}
 }
@@ -150,18 +156,18 @@ func TestCompleteKeyCancelsIncarnations(t *testing.T) {
 	q.tryLease("w1", false)
 	clk.Advance(101 * time.Millisecond)
 	q.tick()
-	if s := q.stats(); s.Pending != 1 {
+	if s := ledgerOf(q); s.QueueLen != 1 {
 		t.Fatalf("pre-completeKey stats: %+v", s)
 	}
-	q.completeKey("a")
-	if s := q.stats(); s.Pending != 0 {
+	q.retire(0, testJob("a"), "late", "")
+	if s := ledgerOf(q); s.QueueLen != 0 {
 		t.Fatalf("completeKey left the pending copy: %+v", s)
 	}
 	// Leased incarnation: cancel it too.
 	q.enqueue(testJob("b"), 8)
 	q.tryLease("w2", false)
-	q.completeKey("b")
-	if s := q.stats(); s.Leased != 0 {
+	q.retire(0, testJob("b"), "late", "")
+	if s := ledgerOf(q); s.Leased != 0 {
 		t.Fatalf("completeKey left the leased copy: %+v", s)
 	}
 }
@@ -187,7 +193,7 @@ func TestEnqueueBoundsAndClose(t *testing.T) {
 		t.Fatal("waitEmpty returned with a lease outstanding")
 	default:
 	}
-	q.complete(l.id)
+	complete(q, l)
 	<-done
 }
 

@@ -44,7 +44,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,6 +100,9 @@ type Config struct {
 	TraceEvents int
 }
 
+// defaultTraceEvents caps the fabric trace buffer when Config leaves it 0.
+const defaultTraceEvents = 32768
+
 // job is one queued simulation cell. sweep/cell are the span IDs minted at
 // POST /run: they ride the job through the lease queue and out to fabric
 // workers, so every log line and trace record of this cell's life can be
@@ -121,6 +123,7 @@ type job struct {
 type jobState struct {
 	status string // "queued", "running", "done", "failed"
 	err    string // set when failed
+	job    job    // names the cell in a late result's event
 }
 
 // Server is the sweep service. Create with New, mount Handler, call Start,
@@ -155,27 +158,14 @@ type Server struct {
 	// degraded is true when the local pool is the execution fallback
 	// (coordinator role with no healthy remote workers). Solo role never
 	// sets it: local execution there is the design, not a degradation.
-	degraded            atomic.Bool
-	degradedTransitions atomic.Uint64
+	degraded atomic.Bool
 
-	enqueued, completed, failed, rejected atomic.Uint64
-	heartbeats                            atomic.Uint64
-	remoteCompleted, remoteFailed         atomic.Uint64
-
-	// Observability: the structured event log (nil-safe), the wall-clock
-	// cell-lifecycle trace, and the live /watch hub. sweepSeq mints sweep
-	// IDs at /run.
-	log      *obslog.Logger
-	ftrace   *fabricTrace
-	hub      *watchHub
+	// st is the event stream every transition goes through; its folds are
+	// the log, the trace, the /watch hub and the metrics ledger (events.go).
+	// sweepSeq mints sweep IDs at /run.
+	st       *stream
 	sweepSeq atomic.Uint64
 	pollMax  time.Duration
-
-	// poisonedKeys is the fault ledger's quarantine list: the content keys
-	// of cells the poison cap removed from circulation, capped so a
-	// pathological sweep cannot grow it without bound.
-	poisonMu     sync.Mutex
-	poisonedKeys []string
 
 	tickStop chan struct{}
 	tickDone chan struct{}
@@ -184,7 +174,6 @@ type Server struct {
 	// (stats.Stopwatch is the sanctioned wall clock; the service is
 	// measurement infrastructure, not simulation).
 	started stats.Stopwatch
-	now     func() time.Duration
 
 	// sleep is the drain-grace pause; swapped by tests for determinism.
 	sleep func(time.Duration)
@@ -196,11 +185,8 @@ type Server struct {
 
 // remoteWorker is one registered fabric worker.
 type remoteWorker struct {
-	id        string
-	lastSeen  time.Duration // on the server's monotonic clock
-	leased    uint64
-	completed uint64
-	failed    uint64
+	id       string
+	lastSeen time.Duration // on the server's monotonic clock
 }
 
 // New builds a server from the config.
@@ -231,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxAttempts = 5
 	}
 	if cfg.TraceEvents <= 0 {
-		cfg.TraceEvents = 32768
+		cfg.TraceEvents = defaultTraceEvents
 	}
 	s := &Server{
 		runner:     cfg.Runner,
@@ -246,20 +232,13 @@ func New(cfg Config) (*Server, error) {
 		remotes:    make(map[string]*remoteWorker),
 		started:    stats.StartWallClock(),
 		sleep:      time.Sleep,
-		log:        cfg.Log,
-		ftrace:     newFabricTrace(cfg.TraceEvents),
-		hub:        newWatchHub(),
 		pollMax:    25 * time.Second,
 	}
-	s.now = s.started.Elapsed
-	s.lq = newLeaseQueue(cfg.LeaseTTL, cfg.MaxAttempts, func() time.Duration { return s.now() })
+	s.st = newStream(s.started.Elapsed, cfg.Log, cfg.TraceEvents)
+	s.lq = newLeaseQueue(cfg.LeaseTTL, cfg.MaxAttempts, s.st)
 	s.lq.poisoned = func(j job, attempts int, lastErr string) {
-		s.failed.Add(1)
-		s.quarantine(j.key)
-		s.setState(j.key, "failed",
-			fmt.Sprintf("poisoned after %d attempts: %s", attempts, lastErr))
+		s.setState(j.key, "failed", poisonDetail(attempts, lastErr))
 	}
-	s.lq.onEvent = s.onQueueEvent
 	s.runCell = s.runner.RunCell
 	s.ready.Store(true)
 	// A coordinator with no workers yet is degraded from the first cell: the
@@ -313,8 +292,7 @@ func (s *Server) Drain() {
 	if already {
 		return
 	}
-	s.log.Info("coordinator", "drain_begin", obslog.Event{})
-	s.ftrace.instant("drain_begin", s.now(), nil)
+	s.st.emit(evDrainBegin, obslog.Event{})
 	s.lq.close()
 	s.lq.waitEmpty()
 	s.wg.Wait()
@@ -322,11 +300,10 @@ func (s *Server) Drain() {
 		close(s.tickStop)
 		<-s.tickDone
 	}
-	// Every queued cell has now resolved: close the live streams so /watch
-	// consumers get their final aggregate and a clean end-of-stream.
-	s.hub.closeAll()
-	s.ftrace.instant("drain_done", s.now(), nil)
-	s.log.Info("coordinator", "drain_done", obslog.Event{})
+	// Every queued cell has now resolved: drain_done closes the live
+	// streams, so /watch consumers get their final aggregate and a clean
+	// end-of-stream.
+	s.st.emit(evDrainDone, obslog.Event{})
 }
 
 // localAllowed gates the in-process pool: always in solo role, only while
@@ -355,35 +332,32 @@ func (s *Server) runLease(l *lease) {
 	j := l.job
 	s.setState(j.key, "running", "")
 	res, _, err := s.runCell(j.spec, j.cfg, j.classify)
-	if err != nil {
-		s.failed.Add(1)
-		s.setState(j.key, "failed", err.Error())
-		s.lq.complete(l.id)
-		return
-	}
 	// The real runner stores its result itself; this backstop keeps
 	// /result serving even when a swapped-in runCell does not.
-	if !s.cache.Contains(j.key) {
-		if err := s.cache.Put(j.key, res); err != nil {
-			s.failed.Add(1)
-			s.setState(j.key, "failed", err.Error())
-			s.lq.complete(l.id)
-			return
-		}
+	if err == nil && !s.cache.Contains(j.key) {
+		err = s.cache.Put(j.key, res)
 	}
-	s.completed.Add(1)
-	s.setState(j.key, "done", "")
-	s.lq.complete(l.id)
+	s.finish(l.id, j, l.owner, err)
 }
 
+// finish records a cell's outcome: the job table first, so a client that
+// sees the outcome on any view finds /result already agreeing, then the
+// lease retirement, whose event every view folds.
+func (s *Server) finish(id uint64, j job, owner string, err error) {
+	status, errMsg := "done", ""
+	if err != nil {
+		status, errMsg = "failed", err.Error()
+	}
+	s.setState(j.key, status, errMsg)
+	s.lq.retire(id, j, owner, errMsg)
+}
+
+// setState writes the job table, the /result authority.
 func (s *Server) setState(key results.Key, status, errMsg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.jobs[key]; ok {
 		st.status, st.err = status, errMsg
-		// The hub mutation rides under s.mu like every other job-table
-		// write, so watchers observe transitions in table order.
-		s.hub.update(string(key), status, errMsg)
 	}
 }
 
@@ -402,48 +376,6 @@ func cellStr(sweep, cell uint64) string {
 		return ""
 	}
 	return fmt.Sprintf("%d/c%d", sweep, cell)
-}
-
-// quarantine appends a poisoned cell's key to the capped fault ledger.
-func (s *Server) quarantine(key results.Key) {
-	const poisonLedgerCap = 32
-	s.poisonMu.Lock()
-	if len(s.poisonedKeys) < poisonLedgerCap {
-		s.poisonedKeys = append(s.poisonedKeys, string(key))
-	}
-	s.poisonMu.Unlock()
-}
-
-// onQueueEvent is the lease queue's observability hook: every transition
-// feeds the wall-clock lifecycle trace and the structured log. Called
-// without the queue lock held; must not take s.mu (the enqueue path holds
-// it across lq.enqueue).
-func (s *Server) onQueueEvent(ev queueEvent) {
-	s.ftrace.observe(ev)
-	lv := obslog.Info
-	switch ev.kind {
-	case evFailed, evExpired:
-		lv = obslog.Warn
-	case evPoisoned:
-		lv = obslog.Error
-	}
-	if !s.log.On(lv) {
-		return
-	}
-	rec := obslog.Event{
-		Sweep:   sweepStr(ev.j.sweep),
-		Cell:    cellStr(ev.j.sweep, ev.j.cell),
-		Lease:   ev.leaseID,
-		Worker:  ev.owner,
-		Key:     string(ev.j.key),
-		Attempt: ev.attempts,
-		N:       uint64(ev.depth),
-		Detail:  ev.reason,
-	}
-	if ev.kind == evGranted {
-		rec.N = uint64(ev.waited.Milliseconds())
-	}
-	s.log.Emit(lv, "queue", "cell_"+ev.kind, rec)
 }
 
 // runRequest is the POST /run body. Workload/Protocol enqueue one cell;
@@ -628,11 +560,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	sweep := s.sweepSeq.Add(1)
 	resp := runResponse{Sweep: sweep, Cells: make([]cellStatus, 0, len(specs)*len(protos))}
-	if s.log.On(obslog.Info) {
-		s.log.Info("coordinator", "sweep_accepted", obslog.Event{
-			Sweep: sweepStr(sweep), N: uint64(len(specs) * len(protos)),
-		})
-	}
+	s.st.emit(evSweepAccepted, obslog.Event{Sweep: sweepStr(sweep), N: uint64(len(specs) * len(protos))})
 	var cellIdx uint64
 	for _, spec := range specs {
 		for _, p := range protos {
@@ -653,37 +581,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				writeJSON(w, code, resp)
 				return
 			}
-			cs.Status = code2status(code)
+			cs.Status = "cached"
+			if code == http.StatusAccepted {
+				cs.Status = "queued"
+			}
 			resp.Cells = append(resp.Cells, cs)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// enqueue codes (internal): http.StatusOK = already cached or already
-// tracked, http.StatusAccepted = newly queued.
-func code2status(code int) string {
-	if code == http.StatusAccepted {
-		return "queued"
-	}
-	return "cached"
-}
-
 // enqueue admits one cell. It returns StatusOK when the result is already
 // on disk, StatusAccepted when the cell was (or already is) queued, and an
 // error with 503 (draining) or 429 (queue saturated). Submission is
 // idempotent on the content key: a queued or running cell is attached to,
-// never enqueued twice.
-// watchCellOf builds the /watch registration record for a job.
-func watchCellOf(j job, status string) watchCell {
-	return watchCell{
-		Workload: j.spec.Name,
-		Protocol: j.cfg.Protocol.String(),
-		Key:      string(j.key),
-		Status:   status,
-	}
-}
-
+// never enqueued twice. Intake events are emitted under s.mu, so they
+// reach the stream in job-table order.
 func (s *Server) enqueue(j job) (int, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -697,47 +610,29 @@ func (s *Server) enqueue(j job) (int, error) {
 		// re-enqueued — resubmission is the recovery path for post-
 		// completion cache damage.
 		if st.status != "done" {
-			s.hub.addCell(j.sweep, watchCellOf(j, st.status))
+			ev := cellEvent(j)
+			ev.Detail = st.status
+			s.st.emit(evAttached, ev)
 			s.mu.Unlock()
 			return http.StatusAccepted, nil
-		}
-		if s.cache.Contains(j.key) {
-			s.hub.addCell(j.sweep, watchCellOf(j, "cached"))
-			s.mu.Unlock()
-			return http.StatusOK, nil
 		}
 		delete(s.jobs, j.key)
 	}
 	if s.cache.Contains(j.key) {
-		s.jobs[j.key] = &jobState{status: "done"}
-		s.hub.addCell(j.sweep, watchCellOf(j, "cached"))
+		s.jobs[j.key] = &jobState{status: "done", job: j}
+		s.st.emit(evCacheHit, cellEvent(j))
 		s.mu.Unlock()
-		if s.log.On(obslog.Info) {
-			s.log.Info("coordinator", "cell_cache_hit", obslog.Event{
-				Sweep: sweepStr(j.sweep), Cell: cellStr(j.sweep, j.cell), Key: string(j.key),
-			})
-		}
 		return http.StatusOK, nil
 	}
-	// Register for /watch before the queue can race a transition past us:
-	// the hub write and the job-table write share s.mu, so the first
-	// transition a watcher sees is always later than "queued".
-	s.hub.addCell(j.sweep, watchCellOf(j, "queued"))
 	if !s.lq.enqueue(j, s.depth) {
-		s.hub.updateIn(j.sweep, string(j.key), "rejected", "queue saturated")
+		ev := cellEvent(j)
+		ev.Detail = "queue saturated"
+		s.st.emit(evRejected, ev)
 		s.mu.Unlock()
-		s.rejected.Add(1)
-		if s.log.On(obslog.Warn) {
-			s.log.Warn("coordinator", "cell_rejected", obslog.Event{
-				Sweep: sweepStr(j.sweep), Cell: cellStr(j.sweep, j.cell),
-				Key: string(j.key), Detail: "queue saturated",
-			})
-		}
 		return http.StatusTooManyRequests,
 			fmt.Errorf("queue saturated (%d cells deep): retry later", s.depth)
 	}
-	s.jobs[j.key] = &jobState{status: "queued"}
-	s.enqueued.Add(1)
+	s.jobs[j.key] = &jobState{status: "queued", job: j}
 	s.mu.Unlock()
 	return http.StatusAccepted, nil
 }
@@ -779,77 +674,35 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(payload)
 }
 
-// snapshotMetrics assembles the current Metrics under the job-table lock.
+// snapshotMetrics assembles the current Metrics: the ledger's counters,
+// then the job table, worker registry and the folds' own meta-counters.
 func (s *Server) snapshotMetrics() Metrics {
+	m := s.st.ledgerMetrics()
 	s.mu.Lock()
-	draining := s.draining
-	running := 0
+	m.Draining = s.draining
 	for _, st := range s.jobs {
 		if st.status == "running" {
-			running++
+			m.Running++
 		}
 	}
 	s.mu.Unlock()
-	registered, healthy := s.workerCounts()
-	ls := s.lq.stats()
-	cutoff := s.now() - s.workerTTL
+	m.WorkersRegistered, m.WorkersHealthy = s.workerCounts()
+	cutoff := s.st.now() - s.workerTTL
 	s.remotesMu.Lock()
-	nodes := make([]NodeMetrics, 0, len(s.remotes))
-	for _, rw := range s.remotes {
-		nodes = append(nodes, NodeMetrics{
-			ID:        rw.id,
-			Healthy:   rw.lastSeen >= cutoff,
-			Inflight:  ls.LeasedByOwner[rw.id],
-			Leased:    rw.leased,
-			Completed: rw.completed,
-			Failed:    rw.failed,
-		})
+	for i := range m.Nodes {
+		rw, ok := s.remotes[m.Nodes[i].ID]
+		m.Nodes[i].Healthy = ok && rw.lastSeen >= cutoff
 	}
 	s.remotesMu.Unlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	s.poisonMu.Lock()
-	poisoned := make([]string, len(s.poisonedKeys))
-	copy(poisoned, s.poisonedKeys)
-	s.poisonMu.Unlock()
-	return Metrics{
-		Role:          s.role,
-		Ready:         s.ready.Load(),
-		Workers:       s.workers,
-		QueueDepth:    s.depth,
-		QueueLen:      ls.Pending,
-		Leased:        ls.Leased,
-		Running:       running,
-		UptimeSeconds: s.started.Elapsed().Seconds(),
-		Enqueued:      s.enqueued.Load(),
-		Completed:     s.completed.Load(),
-		Failed:        s.failed.Load(),
-		Rejected:      s.rejected.Load(),
-		Draining:      draining,
-		Cache:         s.cache.Stats(),
-
-		LeaseExpired:        ls.Expired,
-		Requeued:            ls.Requeued,
-		Poisoned:            ls.Poisoned,
-		Renewals:            ls.Renewals,
-		Heartbeats:          s.heartbeats.Load(),
-		WorkersRegistered:   registered,
-		WorkersHealthy:      healthy,
-		Degraded:            s.degraded.Load(),
-		DegradedTransitions: s.degradedTransitions.Load(),
-		RemoteCompleted:     s.remoteCompleted.Load(),
-		RemoteFailed:        s.remoteFailed.Load(),
-
-		CacheHitRate:  s.cache.Stats().HitRate(),
-		LeaseWaitMs:   ls.LeaseWait,
-		Sweeps:        s.sweepSeq.Load(),
-		Watchers:      s.hub.watchers(),
-		TraceEvents:   s.ftrace.b.Events(),
-		TraceDropped:  s.ftrace.b.Dropped(),
-		LogEmitted:    s.log.Emitted(),
-		LogSinkFails:  s.log.SinkFailures(),
-		Nodes:         nodes,
-		PoisonedCells: poisoned,
-	}
+	m.Role, m.Ready, m.Workers, m.QueueDepth = s.role, s.ready.Load(), s.workers, s.depth
+	m.UptimeSeconds = s.started.Elapsed().Seconds()
+	m.Cache = s.cache.Stats()
+	m.CacheHitRate = m.Cache.HitRate()
+	m.Degraded = s.degraded.Load()
+	m.Watchers = s.st.hub.watchers()
+	m.TraceEvents, m.TraceDropped = s.st.trace.b.Events(), s.st.trace.b.Dropped()
+	m.LogEmitted, m.LogSinkFails = s.st.log.Emitted(), s.st.log.SinkFailures()
+	return m
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -869,7 +722,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	s.ftrace.b.WriteTrace(w)
+	s.st.trace.b.WriteTrace(w)
 }
 
 // handlePromMetrics serves the same service metrics in Prometheus text
@@ -881,88 +734,58 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.snapshotMetrics()
 	reg := telemetry.NewRegistry()
-	reg.Gauge("dveserve_uptime_seconds", "host seconds since the service started",
-		func() float64 { return m.UptimeSeconds })
-	reg.Gauge("dveserve_ready", "1 while accepting intake (readyz)",
-		func() float64 { return b2f(m.Ready) })
-	reg.Gauge("dveserve_workers", "in-process simulation pool size",
-		func() float64 { return float64(m.Workers) })
-	reg.Gauge("dveserve_queue_depth", "queue capacity",
-		func() float64 { return float64(m.QueueDepth) })
-	reg.Gauge("dveserve_queue_len", "cells waiting for a lease (transition-time gauge)",
-		func() float64 { return float64(s.lq.depth()) })
-	reg.Gauge("dveserve_leased", "cells out under a live lease",
-		func() float64 { return float64(m.Leased) })
-	reg.Gauge("dveserve_running", "cells executing right now",
-		func() float64 { return float64(m.Running) })
-	reg.Gauge("dveserve_draining", "1 while shutting down gracefully",
-		func() float64 { return b2f(m.Draining) })
-	reg.Counter("dveserve_enqueued_total", "cells accepted into the queue",
-		func() float64 { return float64(m.Enqueued) })
-	reg.Counter("dveserve_completed_total", "cells finished successfully",
-		func() float64 { return float64(m.Completed) })
-	reg.Counter("dveserve_failed_total", "cells that errored (incl. poisoned)",
-		func() float64 { return float64(m.Failed) })
-	reg.Counter("dveserve_rejected_total", "enqueues refused with 429",
-		func() float64 { return float64(m.Rejected) })
-	reg.Counter("dveserve_lease_expired_total", "leases that passed their deadline",
-		func() float64 { return float64(m.LeaseExpired) })
-	reg.Counter("dveserve_requeued_total", "cells re-enqueued after expiry or worker failure",
-		func() float64 { return float64(m.Requeued) })
-	reg.Counter("dveserve_poisoned_total", "cells quarantined past the attempt cap",
-		func() float64 { return float64(m.Poisoned) })
-	reg.Counter("dveserve_renewals_total", "lease renewals granted",
-		func() float64 { return float64(m.Renewals) })
-	reg.Counter("dveserve_heartbeats_total", "fabric worker heartbeats received",
-		func() float64 { return float64(m.Heartbeats) })
-	reg.Gauge("dveserve_workers_registered", "fabric workers ever registered",
-		func() float64 { return float64(m.WorkersRegistered) })
-	reg.Gauge("dveserve_workers_healthy", "fabric workers seen within the liveness window",
-		func() float64 { return float64(m.WorkersHealthy) })
-	reg.Gauge("dveserve_degraded", "1 while the local pool is covering for absent workers",
-		func() float64 { return b2f(m.Degraded) })
-	reg.Counter("dveserve_degraded_transitions_total", "degraded-mode entries and exits",
-		func() float64 { return float64(m.DegradedTransitions) })
-	reg.Counter("dveserve_remote_completed_total", "cells completed by fabric workers",
-		func() float64 { return float64(m.RemoteCompleted) })
-	reg.Counter("dveserve_remote_failed_total", "cell failures reported by fabric workers",
-		func() float64 { return float64(m.RemoteFailed) })
-	reg.Counter("dveserve_cache_hits_total", "result-cache hits",
-		func() float64 { return float64(m.Cache.Hits) })
-	reg.Counter("dveserve_cache_misses_total", "result-cache misses",
-		func() float64 { return float64(m.Cache.Misses) })
-	reg.Counter("dveserve_cache_corrupt_total", "cache entries rejected as corrupt",
-		func() float64 { return float64(m.Cache.Corrupt) })
-	reg.Counter("dveserve_cache_swept_total", "orphaned temp files swept at open",
-		func() float64 { return float64(m.Cache.Swept) })
-	reg.Counter("dveserve_cache_puts_total", "cache writes",
-		func() float64 { return float64(m.Cache.Puts) })
-	reg.Gauge("dveserve_cache_hit_rate", "result-cache hits per lookup (placement input)",
-		func() float64 { return m.CacheHitRate })
+	gauge := func(name, help string, v float64) { reg.Gauge(name, help, func() float64 { return v }) }
+	counter := func(name, help string, v uint64) { reg.Counter(name, help, func() float64 { return float64(v) }) }
+	node := func(name, help string, f func(NodeMetrics) float64) {
+		reg.LabeledGauge(name, help, "node", func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, f) })
+	}
+	gauge("dveserve_uptime_seconds", "host seconds since the service started", m.UptimeSeconds)
+	gauge("dveserve_ready", "1 while accepting intake (readyz)", b2f(m.Ready))
+	gauge("dveserve_workers", "in-process simulation pool size", float64(m.Workers))
+	gauge("dveserve_queue_depth", "queue capacity", float64(m.QueueDepth))
+	gauge("dveserve_queue_len", "cells waiting for a lease (transition-time gauge)", float64(m.QueueLen))
+	gauge("dveserve_leased", "cells out under a live lease", float64(m.Leased))
+	gauge("dveserve_running", "cells executing right now", float64(m.Running))
+	gauge("dveserve_draining", "1 while shutting down gracefully", b2f(m.Draining))
+	counter("dveserve_enqueued_total", "cells accepted into the queue", m.Enqueued)
+	counter("dveserve_completed_total", "cells finished successfully", m.Completed)
+	counter("dveserve_failed_total", "cells that errored (incl. poisoned)", m.Failed)
+	counter("dveserve_rejected_total", "enqueues refused with 429", m.Rejected)
+	counter("dveserve_lease_expired_total", "leases that passed their deadline", m.LeaseExpired)
+	counter("dveserve_requeued_total", "cells re-enqueued after expiry or worker failure", m.Requeued)
+	counter("dveserve_poisoned_total", "cells quarantined past the attempt cap", m.Poisoned)
+	counter("dveserve_renewals_total", "lease renewals granted", m.Renewals)
+	counter("dveserve_heartbeats_total", "fabric worker heartbeats received", m.Heartbeats)
+	gauge("dveserve_workers_registered", "fabric workers ever registered", float64(m.WorkersRegistered))
+	gauge("dveserve_workers_healthy", "fabric workers seen within the liveness window", float64(m.WorkersHealthy))
+	gauge("dveserve_degraded", "1 while the local pool is covering for absent workers", b2f(m.Degraded))
+	counter("dveserve_degraded_transitions_total", "degraded-mode entries and exits", m.DegradedTransitions)
+	counter("dveserve_remote_completed_total", "cells completed by fabric workers", m.RemoteCompleted)
+	counter("dveserve_remote_failed_total", "cell failures reported by fabric workers", m.RemoteFailed)
+	counter("dveserve_cache_hits_total", "result-cache hits", m.Cache.Hits)
+	counter("dveserve_cache_misses_total", "result-cache misses", m.Cache.Misses)
+	counter("dveserve_cache_corrupt_total", "cache entries rejected as corrupt", m.Cache.Corrupt)
+	counter("dveserve_cache_swept_total", "orphaned temp files swept at open", m.Cache.Swept)
+	counter("dveserve_cache_puts_total", "cache writes", m.Cache.Puts)
+	gauge("dveserve_cache_hit_rate", "result-cache hits per lookup (placement input)", m.CacheHitRate)
 	reg.Histogram("dveserve_lease_wait_ms", "enqueue-to-grant latency distribution",
 		func() *stats.Histogram { return &m.LeaseWaitMs })
-	reg.Counter("dveserve_sweeps_total", "sweep IDs minted by /run",
-		func() float64 { return float64(m.Sweeps) })
-	reg.Gauge("dveserve_watchers", "attached /watch subscribers",
-		func() float64 { return float64(m.Watchers) })
-	reg.Gauge("dveserve_trace_events", "buffered fabric trace records",
-		func() float64 { return float64(m.TraceEvents) })
-	reg.Counter("dveserve_trace_events_dropped_total", "fabric trace records dropped at the cap",
-		func() float64 { return float64(m.TraceDropped) })
-	reg.Counter("dveserve_log_events_total", "structured log events emitted",
-		func() float64 { return float64(m.LogEmitted) })
-	reg.Counter("dveserve_log_sink_failures_total", "structured log events a sink refused",
-		func() float64 { return float64(m.LogSinkFails) })
-	reg.LabeledGauge("dveserve_node_inflight", "leases held right now, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Inflight) }) })
-	reg.LabeledGauge("dveserve_node_leased", "leases ever granted, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Leased) }) })
-	reg.LabeledGauge("dveserve_node_completed", "cells completed, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Completed) }) })
-	reg.LabeledGauge("dveserve_node_failed", "cell failures, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Failed) }) })
-	reg.LabeledGauge("dveserve_node_healthy", "1 while the node is inside its liveness window", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return b2f(n.Healthy) }) })
+	counter("dveserve_sweeps_total", "sweep IDs minted by /run", m.Sweeps)
+	gauge("dveserve_watchers", "attached /watch subscribers", float64(m.Watchers))
+	gauge("dveserve_trace_events", "buffered fabric trace records", float64(m.TraceEvents))
+	counter("dveserve_trace_events_dropped_total", "fabric trace records dropped at the cap", m.TraceDropped)
+	counter("dveserve_log_events_total", "structured log events emitted", m.LogEmitted)
+	counter("dveserve_log_sink_failures_total", "structured log events a sink refused", m.LogSinkFails)
+	node("dveserve_node_inflight", "leases held right now, by fabric node",
+		func(n NodeMetrics) float64 { return float64(n.Inflight) })
+	node("dveserve_node_leased", "leases ever granted, by fabric node",
+		func(n NodeMetrics) float64 { return float64(n.Leased) })
+	node("dveserve_node_completed", "cells completed, by fabric node",
+		func(n NodeMetrics) float64 { return float64(n.Completed) })
+	node("dveserve_node_failed", "cell failures, by fabric node",
+		func(n NodeMetrics) float64 { return float64(n.Failed) })
+	node("dveserve_node_healthy", "1 while the node is inside its liveness window",
+		func(n NodeMetrics) float64 { return b2f(n.Healthy) })
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reg.WritePrometheus(w)
 }

@@ -10,6 +10,7 @@ import (
 
 	"dve/internal/dve"
 	"dve/internal/experiments"
+	"dve/internal/obslog"
 	"dve/internal/results"
 	"dve/internal/topology"
 	"dve/internal/workload"
@@ -280,6 +281,70 @@ func TestFailedCellReports500(t *testing.T) {
 	}
 	if body["error"] != errFake.Error() {
 		t.Fatalf("error body %+v", body)
+	}
+}
+
+// TestFailedCellFailsInEveryView pins that a local failure is one failed
+// retirement on the event stream, so every view reports it the same way:
+// the log's cell_failed carries the error, the trace span ends with
+// outcome failed, the ledger counts a failure and no completion, and
+// /watch shows the cell failed.
+func TestFailedCellFailsInEveryView(t *testing.T) {
+	log := obslog.New(obslog.Options{Min: obslog.Debug})
+	s := newTestServer(t, 1, 4, func(spec workload.Spec, cfg topology.Config, classify bool) (*dve.Result, bool, error) {
+		return nil, false, errFake
+	})
+	s.st.log = log
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, rr := postRun(t, ts.URL, `{"workload":"fft","protocol":"deny"}`)
+	waitForMetrics(t, ts.URL, func(m Metrics) bool { return m.Failed == 1 })
+	s.Drain()
+	key := rr.Cells[0].Key
+
+	logged := false
+	for _, ev := range log.Recent() {
+		if ev.Key != key || ev.Comp != compQueue {
+			continue
+		}
+		if ev.Event == evCompleted {
+			t.Fatalf("failed cell logged as completed: %+v", ev)
+		}
+		if ev.Event == evFailed && ev.Detail == errFake.Error() && (ev.Level == "warn" || ev.Level == "error") {
+			logged = true
+		}
+	}
+	if !logged {
+		t.Errorf("no warn/error cell_failed with the cell error in the log: %+v", log.Recent())
+	}
+
+	_, evs := traceRecords(t, writeTrace(t, s.st))
+	ends := 0
+	for _, ev := range evs {
+		if ev.Ph == "E" {
+			ends++
+			if ev.Args["outcome"] != "failed" || ev.Args["reason"] != errFake.Error() {
+				t.Errorf("span end %+v, want outcome failed with the cell error", ev)
+			}
+		}
+	}
+	if ends != 1 {
+		t.Errorf("%d span ends in the trace, want 1", ends)
+	}
+
+	if m := s.snapshotMetrics(); m.Failed != 1 || m.Completed != 0 {
+		t.Errorf("ledger failed=%d completed=%d, want 1/0", m.Failed, m.Completed)
+	}
+
+	sw, ok := s.st.hub.lookup(rr.Sweep)
+	if !ok {
+		t.Fatal("sweep not tracked")
+	}
+	snap := sw.snapshot()
+	if !snap.Done || snap.Agg.Failed != 1 || snap.Cells[0].Status != "failed" || snap.Cells[0].Err != errFake.Error() {
+		t.Errorf("/watch snapshot %+v, want the cell failed with its error", snap)
 	}
 }
 

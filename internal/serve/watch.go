@@ -19,11 +19,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dve/internal/obslog"
 )
 
 const (
@@ -123,7 +126,8 @@ type sweepWatch struct {
 	closed  bool
 }
 
-// addCellLocked registers one cell (submission order).
+// addCell registers one cell (submission order); a key already in the
+// sweep keeps its first registration.
 func (sw *sweepWatch) addCell(c watchCell) {
 	sw.mu.Lock()
 	if _, dup := sw.byKey[c.Key]; !dup {
@@ -173,10 +177,12 @@ func (sw *sweepWatch) update(key, status, errMsg string) {
 func (sw *sweepWatch) snapshot() watchSnapshot {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	cells := make([]watchCell, len(sw.cells))
-	copy(cells, sw.cells)
+	return sw.snapshotLocked()
+}
+
+func (sw *sweepWatch) snapshotLocked() watchSnapshot {
 	return watchSnapshot{
-		Sweep: sw.id, Seq: sw.seq, Cells: cells, Agg: sw.agg,
+		Sweep: sw.id, Seq: sw.seq, Cells: slices.Clone(sw.cells), Agg: sw.agg,
 		Done: sw.agg.terminal(),
 	}
 }
@@ -191,12 +197,7 @@ func (sw *sweepWatch) subscribe() (*watchSub, watchSnapshot, bool) {
 		return nil, watchSnapshot{}, false
 	}
 	sw.subs[sub] = struct{}{}
-	cells := make([]watchCell, len(sw.cells))
-	copy(cells, sw.cells)
-	snap := watchSnapshot{
-		Sweep: sw.id, Seq: sw.seq, Cells: cells, Agg: sw.agg,
-		Done: sw.agg.terminal(),
-	}
+	snap := sw.snapshotLocked()
 	sw.mu.Unlock()
 	return sub, snap, true
 }
@@ -270,14 +271,8 @@ func (h *watchHub) sweep(id uint64) *sweepWatch {
 		h.order = h.order[1:]
 		delete(h.sweeps, old.id)
 		for _, c := range old.cells {
-			list := h.byKey[c.Key]
-			for i, sw := range list {
-				if sw == old {
-					h.byKey[c.Key] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-			if len(h.byKey[c.Key]) == 0 {
+			list := slices.DeleteFunc(h.byKey[c.Key], func(sw *sweepWatch) bool { return sw == old })
+			if h.byKey[c.Key] = list; len(list) == 0 {
 				delete(h.byKey, c.Key)
 			}
 		}
@@ -293,25 +288,49 @@ func (h *watchHub) sweep(id uint64) *sweepWatch {
 	return sw
 }
 
-// addCell registers a cell under a sweep and indexes its key. Sweep 0
-// means "not minted by /run" (tests driving enqueue directly): untracked.
-func (h *watchHub) addCell(id uint64, c watchCell) {
-	if id == 0 {
+// apply folds one stream event into the sweeps it touches. Intake events
+// (enqueued, cache hit, attached, rejected) register a cell under its own
+// sweep only, so a resubmission cannot rewrite another matrix's history;
+// execution events fan out to every sweep containing the key, since
+// idempotent resubmission lets one cell belong to several matrices. Sweep
+// "" means not minted by /run (tests driving the queue directly):
+// untracked. Drain's last event ends every stream.
+func (h *watchHub) apply(ev *obslog.Event) {
+	switch ev.Event {
+	case evEnqueued:
+		h.addCell(ev, "queued")
+	case evCacheHit:
+		h.addCell(ev, "cached")
+	case evAttached:
+		h.addCell(ev, ev.Detail)
+	case evRejected:
+		h.addCell(ev, "rejected")
+	case evGranted:
+		h.update(ev.Key, "running", "")
+	case evCompleted:
+		h.update(ev.Key, "done", "")
+	case evFailed, evPoisoned:
+		h.update(ev.Key, "failed", ev.Detail)
+	case evDrainDone:
+		h.closeAll()
+	}
+}
+
+// addCell registers the event's cell under its sweep with status.
+func (h *watchHub) addCell(ev *obslog.Event, status string) {
+	id, err := strconv.ParseUint(ev.Sweep, 10, 64)
+	if err != nil || id == 0 {
 		return
+	}
+	c := watchCell{Workload: ev.Workload, Protocol: ev.Protocol, Key: ev.Key, Status: status}
+	if status == "rejected" {
+		c.Err = ev.Detail
 	}
 	sw := h.sweep(id)
 	sw.addCell(c)
 	h.mu.Lock()
-	list := h.byKey[c.Key]
-	seen := false
-	for _, s := range list {
-		if s == sw {
-			seen = true
-			break
-		}
-	}
-	if !seen {
-		h.byKey[c.Key] = append(list, sw)
+	if !slices.Contains(h.byKey[c.Key], sw) {
+		h.byKey[c.Key] = append(h.byKey[c.Key], sw)
 	}
 	h.mu.Unlock()
 }
@@ -319,21 +338,9 @@ func (h *watchHub) addCell(id uint64, c watchCell) {
 // update fans one key's transition out to every sweep that contains it.
 func (h *watchHub) update(key, status, errMsg string) {
 	h.mu.Lock()
-	list := make([]*sweepWatch, len(h.byKey[key]))
-	copy(list, h.byKey[key])
+	list := slices.Clone(h.byKey[key])
 	h.mu.Unlock()
 	for _, sw := range list {
-		sw.update(key, status, errMsg)
-	}
-}
-
-// updateIn applies a submit-time status (cached, rejected) to one sweep
-// only, so a resubmission cannot rewrite another matrix's history.
-func (h *watchHub) updateIn(id uint64, key, status, errMsg string) {
-	h.mu.Lock()
-	sw := h.sweeps[id]
-	h.mu.Unlock()
-	if sw != nil {
 		sw.update(key, status, errMsg)
 	}
 }
@@ -417,7 +424,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad sweep id", http.StatusBadRequest)
 		return
 	}
-	sw, ok := s.hub.lookup(id)
+	sw, ok := s.st.hub.lookup(id)
 	if !ok {
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return

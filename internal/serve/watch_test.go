@@ -213,7 +213,7 @@ func TestWatchStreamEndsOnDrain(t *testing.T) {
 		t.Fatalf("first event = %q (%v)", ev.name, err)
 	}
 
-	s.hub.closeAll() // what Drain does after the queue empties
+	s.st.hub.closeAll() // what Drain's drain_done event does after the queue empties
 	for {
 		ev, err := readSSE(t, br)
 		if err != nil {
@@ -421,7 +421,7 @@ func TestWatchSlowConsumerResyncs(t *testing.T) {
 
 	// Overflow this subscriber directly (the HTTP reader above is not
 	// draining its channel yet), then publish one more delta to wake it.
-	sw, ok := s.hub.lookup(rr.Sweep)
+	sw, ok := s.st.hub.lookup(rr.Sweep)
 	if !ok {
 		t.Fatal("sweep not tracked")
 	}
@@ -456,28 +456,31 @@ func TestWatchSlowConsumerResyncs(t *testing.T) {
 }
 
 // TestWatchHubFanout pins the multi-sweep semantics: a shared cell's
-// transition reaches every sweep containing it, while submit-time statuses
-// (updateIn) stay sweep-local.
+// execution events reach every sweep containing it, while intake statuses
+// (cache hit, rejection) stay sweep-local.
 func TestWatchHubFanout(t *testing.T) {
 	h := newWatchHub()
-	c := watchCell{Workload: "fft", Protocol: "deny", Key: "k1", Status: "queued"}
-	h.addCell(1, c)
-	h.addCell(2, c)
-	h.addCell(0, c) // sweep 0 = untracked; must be ignored
+	cell := func(name, sweep string) *obslog.Event {
+		return &obslog.Event{Event: name, Sweep: sweep, Workload: "fft", Protocol: "deny", Key: "k1"}
+	}
+	h.apply(cell(evEnqueued, "1"))
+	h.apply(cell(evEnqueued, "2"))
+	h.apply(cell(evEnqueued, "")) // no sweep = untracked; must be ignored
 
-	h.update("k1", "running", "")
+	h.apply(cell(evGranted, "1"))
 	s1, _ := h.lookup(1)
 	s2, _ := h.lookup(2)
 	if s1.snapshot().Agg.Running != 1 || s2.snapshot().Agg.Running != 1 {
 		t.Fatalf("fanout missed a sweep: %+v / %+v", s1.snapshot(), s2.snapshot())
 	}
 
-	h.updateIn(2, "k1", "done", "")
-	if s1.snapshot().Agg.Done != 0 {
-		t.Fatal("updateIn leaked into another sweep")
+	h.apply(cell(evCacheHit, "3"))
+	s3, _ := h.lookup(3)
+	if s1.snapshot().Agg.CacheHits != 0 || s2.snapshot().Agg.CacheHits != 0 {
+		t.Fatal("cache hit leaked into another sweep")
 	}
-	if s2.snapshot().Agg.Done != 1 {
-		t.Fatal("updateIn missed its sweep")
+	if s3.snapshot().Agg.CacheHits != 1 {
+		t.Fatal("cache hit missed its sweep")
 	}
 	if _, ok := h.lookup(0); ok {
 		t.Fatal("sweep 0 was tracked")
@@ -522,8 +525,8 @@ func TestFabricTraceValidates(t *testing.T) {
 	workerTracks := map[string]bool{}
 	for _, ev := range evs {
 		switch {
-		case ev.Ph == "i" && strings.HasPrefix(ev.Name, evEnqueued+" "):
-			enqueues[strings.TrimPrefix(ev.Name, evEnqueued+" ")] = true
+		case ev.Ph == "i" && strings.HasPrefix(ev.Name, "enqueued "):
+			enqueues[strings.TrimPrefix(ev.Name, "enqueued ")] = true
 		case ev.Ph == "B" && strings.HasPrefix(ev.Name, "cell "):
 			if ev.Tid == 0 {
 				t.Fatalf("cell span %q on the queue track", ev.Name)
@@ -568,8 +571,8 @@ func TestQueueDepthGauge(t *testing.T) {
 	postRun(t, ts.URL, `{"workloads":["fft"],"protocols":["baseline","deny","dynamic"]}`)
 	// One cell leased by the single (blocked) worker; two pending.
 	waitForMetrics(t, ts.URL, func(m Metrics) bool { return m.QueueLen == 2 && m.Leased == 1 })
-	if d := s.lq.depth(); d != 2 {
-		t.Fatalf("lq.depth() = %d, want 2", d)
+	if d := s.st.ledgerMetrics().QueueLen; d != 2 {
+		t.Fatalf("ledger queue depth = %d, want 2", d)
 	}
 	prom := scrapeProm(t, ts.URL)
 	if v, ok := promValue(prom, "dveserve_queue_len"); !ok || v != 2 {
@@ -790,5 +793,18 @@ func TestLogDisabledPathAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("nil-logger guard allocates %.1f/op, want 0", allocs)
+	}
+
+	// The stream's log fold, with no logger and with one filtering the
+	// event's level out.
+	ev := obslog.Event{Event: evGranted, Comp: compQueue, Key: "k", Sweep: "3", Lease: 9}
+	errOnly := obslog.New(obslog.Options{Min: obslog.Error})
+	for _, l := range []*obslog.Logger{nil, errOnly} {
+		if allocs := testing.AllocsPerRun(200, func() { logFold(l, &ev) }); allocs != 0 {
+			t.Fatalf("disabled log fold allocates %.1f/op, want 0", allocs)
+		}
+	}
+	if errOnly.Emitted() != 0 {
+		t.Fatal("filtered log fold recorded an event")
 	}
 }

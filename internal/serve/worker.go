@@ -309,17 +309,14 @@ func (w *Worker) logGrant(lv obslog.Level, event string, grant leaseGrant, detai
 	if !w.cfg.Log.On(lv) {
 		return
 	}
-	ev := obslog.Event{
+	w.cfg.Log.Emit(lv, "worker", event, obslog.Event{
+		Sweep:  sweepStr(grant.Sweep),
+		Cell:   cellStr(grant.Sweep, grant.Cell),
 		Lease:  grant.Lease,
 		Worker: w.cfg.ID,
 		Key:    grant.Key,
 		Detail: detail,
-	}
-	if grant.Sweep != 0 {
-		ev.Sweep = fmt.Sprintf("%d", grant.Sweep)
-		ev.Cell = fmt.Sprintf("%d/c%d", grant.Sweep, grant.Cell)
-	}
-	w.cfg.Log.Emit(lv, "worker", event, ev)
+	})
 }
 
 // execute runs one granted cell: key cross-check, heartbeats while the
