@@ -15,7 +15,6 @@ import (
 	"os"
 	"time"
 
-	"dve/internal/dve"
 	"dve/internal/experiments"
 	"dve/internal/perf"
 	"dve/internal/results"
@@ -27,7 +26,6 @@ func main() {
 		exp      = flag.String("experiment", "all", "table1|fig1|fig6|fig7|fig8|fig9|fig10|energy|faults|verify|all")
 		scale    = flag.String("scale", "standard", "quick|standard|full")
 		parallel = flag.Int("parallel", 8, "concurrent simulations")
-		engine   = flag.String("engine", "", "partition workers per simulation: auto|serial|parallel")
 		cacheDir = flag.String("cache", "", "result cache directory (empty = no caching)")
 		minHit   = flag.Float64("min-cache-hit", 0, "fail if the cache hit rate ends below this fraction (CI guard)")
 		retries  = flag.Int("retries", 0, "per-cell retry budget")
@@ -49,10 +47,6 @@ func main() {
 
 	r := experiments.Runner{Parallelism: *parallel, Retries: *retries}
 	r.Scale, err = experiments.ScaleByName(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	r.Engine, err = dve.ParseEngineMode(*engine)
 	if err != nil {
 		fatal(err)
 	}

@@ -34,7 +34,6 @@ func main() {
 		coarse  = flag.Bool("coarse", false, "coarse-grain (region) replica directory")
 		oracle  = flag.Bool("oracle", false, "oracular replica directory (Fig 9 ceiling)")
 		baseCmp = flag.Bool("speedup", false, "also run the baseline and report speedup")
-		engineF = flag.String("engine", "auto", "partition workers: auto|serial|parallel")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
@@ -61,7 +60,7 @@ func main() {
 		return
 	}
 
-	p, err := parseProtocol(*proto)
+	p, err := topology.ParseProtocol(*proto)
 	if err != nil {
 		fatal(err)
 	}
@@ -77,13 +76,7 @@ func main() {
 	cfg.CoarseGrain = *coarse
 	cfg.Oracular = *oracle
 
-	mode, err := dve.ParseEngineMode(*engineF)
-	if err != nil {
-		fatal(err)
-	}
-
 	rc := dve.RunConfig{Cfg: cfg, WarmupOps: *warmup, MeasureOps: *ops,
-		Engine:   mode,
 		Classify: p == topology.ProtoBaseline}
 	var tracer *telemetry.Tracer
 	if *traceEv != "" {
@@ -111,8 +104,7 @@ func main() {
 	if *baseCmp && p != topology.ProtoBaseline {
 		bcfg := topology.Default(topology.ProtoBaseline)
 		bcfg.InterSocketNs = *linkNs
-		base, err := dve.Run(spec, dve.RunConfig{Cfg: bcfg, WarmupOps: *warmup, MeasureOps: *ops,
-			Engine: mode})
+		base, err := dve.Run(spec, dve.RunConfig{Cfg: bcfg, WarmupOps: *warmup, MeasureOps: *ops})
 		if err != nil {
 			fatal(err)
 		}
@@ -123,21 +115,9 @@ func main() {
 	}
 }
 
-func parseProtocol(s string) (topology.Protocol, error) {
-	for _, p := range []topology.Protocol{
-		topology.ProtoBaseline, topology.ProtoAllow, topology.ProtoDeny,
-		topology.ProtoDynamic, topology.ProtoIntelMirror,
-	} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown protocol %q", s)
-}
-
 func printResult(res *dve.Result) {
 	c := &res.Counters
-	fmt.Printf("workload=%s protocol=%s workers=%d\n", res.Workload, res.Protocol, res.Workers)
+	fmt.Printf("workload=%s protocol=%s\n", res.Workload, res.Protocol)
 	fmt.Printf("ROI cycles            %d\n", res.Cycles)
 	fmt.Printf("sync epochs           %d (%d barrier stalls)\n",
 		res.Counters.EngineEpochs, res.Counters.EngineBarrierStalls)

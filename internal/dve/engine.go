@@ -2,7 +2,6 @@ package dve
 
 import (
 	"fmt"
-	"runtime"
 
 	"dve/internal/topology"
 )
@@ -19,44 +18,27 @@ import (
 type EngineMode int
 
 const (
-	// EngineAuto uses worker goroutines when GOMAXPROCS offers real
-	// parallelism and the run's features allow them.
-	EngineAuto EngineMode = iota
-	// EngineSerial runs the partitions on one goroutine.
-	EngineSerial
+	// EngineSerial runs the partitions on one goroutine. It is the zero
+	// value, and so the mode of every run the commands start: on measured
+	// hosts the epoch handoff costs more than a second worker recovers.
+	EngineSerial EngineMode = iota
 	// EngineParallel runs one worker per socket even when GOMAXPROCS is 1
 	// (real goroutines, no speedup) — equivalence and race tests use it to
 	// exercise the concurrent path.
 	EngineParallel
 )
 
-// String returns the flag spelling of the mode.
+// String returns the mode's name.
 func (m EngineMode) String() string {
 	switch m {
-	case EngineAuto:
-		return "auto"
 	case EngineSerial:
 		return "serial"
 	case EngineParallel:
 		return "parallel"
 	default:
-		// The zero value is EngineAuto, so any other out-of-range value
-		// was manufactured deliberately.
+		// Any out-of-range value was manufactured deliberately.
 		panic(fmt.Sprintf("dve: invalid EngineMode %d", int(m)))
 	}
-}
-
-// ParseEngineMode parses a -engine flag value.
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "serial":
-		return EngineSerial, nil
-	case "parallel":
-		return EngineParallel, nil
-	}
-	return EngineAuto, fmt.Errorf("dve: unknown engine mode %q (want auto, serial or parallel)", s)
 }
 
 // singleWorker reports whether the run must execute its partitions on one
@@ -95,14 +77,6 @@ func resolveEngine(mode EngineMode, rc *RunConfig, cfg *topology.Config) (worker
 	case EngineParallel:
 		return cfg.Sockets
 	case EngineSerial:
-		return 1
-	case EngineAuto:
-		// Spend worker goroutines only when the host scheduler can actually
-		// run them concurrently (on one CPU they would just add handoff
-		// latency).
-		if runtime.GOMAXPROCS(0) > 1 {
-			return cfg.Sockets
-		}
 		return 1
 	default:
 		panic(fmt.Sprintf("dve: invalid EngineMode %d", int(mode)))

@@ -3,6 +3,7 @@ package dve
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"dve/internal/topology"
@@ -106,6 +107,7 @@ func TestEngineEquivalenceQuickCells(t *testing.T) {
 		{"fft", topology.ProtoDeny},
 		{"graph500", topology.ProtoAllow},
 		{"canneal", topology.ProtoBaseline},
+		{"canneal", topology.ProtoDynamic},
 	}
 	for _, c := range cells {
 		c := c
@@ -143,18 +145,21 @@ func TestParallelRunTwiceDeterminism(t *testing.T) {
 	}
 }
 
-// TestParseEngineModeRoundTrip pins flag spellings.
-func TestParseEngineModeRoundTrip(t *testing.T) {
-	for _, m := range []EngineMode{EngineAuto, EngineSerial, EngineParallel} {
-		got, err := ParseEngineMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseEngineMode(%q) = %v, %v", m.String(), got, err)
-		}
+// TestDefaultRunIsSerial pins the zero EngineMode to one worker even when
+// the host offers more than one CPU: every run the commands start leaves
+// RunConfig.Engine unset, and on measured hosts the epoch handoff of a
+// second worker costs more than it recovers.
+func TestDefaultRunIsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	res, err := Run(smallSpec("fft"), RunConfig{
+		Cfg:        topology.Default(topology.ProtoDeny),
+		WarmupOps:  2_000,
+		MeasureOps: 5_000,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseEngineMode("warp-drive"); err == nil {
-		t.Error("bogus mode accepted")
-	}
-	if m, err := ParseEngineMode(""); err != nil || m != EngineAuto {
-		t.Errorf("empty mode = %v, %v; want auto", m, err)
+	if res.Workers != 1 {
+		t.Fatalf("default run used %d workers, want 1", res.Workers)
 	}
 }

@@ -53,13 +53,10 @@ func ScaleByName(name string) (Scale, error) {
 // Runner executes simulation matrices.
 type Runner struct {
 	Scale Scale
-	// Parallelism bounds concurrent simulations (each is single-threaded
-	// and deterministic). 0 means 8.
+	// Parallelism bounds concurrent simulations. It is a sweep's only
+	// parallelism: every cell runs its partitions on one worker (the
+	// serial epoch loop) and is deterministic. 0 means 8.
 	Parallelism int
-	// Engine selects how every cell's partitions are executed (see
-	// dve.EngineMode). The default, dve.EngineAuto, uses worker goroutines
-	// when GOMAXPROCS offers real parallelism; results never depend on it.
-	Engine dve.EngineMode
 	// Workloads restricts the benchmark set (nil = the full Table III
 	// suite). Unknown names are an error, not a silent shrink: a typo must
 	// not quietly drop a column from a paper figure.
@@ -126,15 +123,15 @@ func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool) (
 		Cfg:        cfg,
 		WarmupOps:  r.Scale.WarmupOps,
 		MeasureOps: r.Scale.MeasureOps,
-		Engine:     r.Engine,
 		Classify:   classify,
 	})
 }
 
 // CellKey returns the content address of one simulation cell at the
 // runner's scale: the hash of everything the result is a function of. The
-// engine mode is not part of it: every mode runs the same partitioned
-// simulation with byte-identical results, so one cache entry serves all.
+// worker count is not part of it: every dve.EngineMode runs the same
+// partitioned simulation with byte-identical results, so one cache entry
+// serves all.
 func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) (results.Key, error) {
 	return results.CellKey{
 		Workload:   spec,

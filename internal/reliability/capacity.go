@@ -7,7 +7,8 @@ type Scheme struct {
 	// provisioned capacity.
 	EffectiveCapacity float64
 	// PerfDelta is the paper's cited performance effect versus non-ECC DRAM
-	// (negative = slowdown; Dvé's positive range comes from our Fig 6 runs).
+	// (negative = slowdown). Every entry, Dvé's range included, is the
+	// paper's figure, not a measurement of this repo.
 	PerfDelta string
 	// DUE/SDC from the analytical model (uniform FIT).
 	Rates Rates
@@ -45,7 +46,7 @@ func DesignPoints(m Model) []Scheme {
 		{
 			Name:              "Dvé+TSD",
 			EffectiveCapacity: 0.4375,
-			PerfDelta:         "+5..+117% on-demand (this repo, Fig 6 runs)",
+			PerfDelta:         "+5..+117% on-demand (paper's Fig 6)",
 			Rates:             m.DveTSD(),
 		},
 	}

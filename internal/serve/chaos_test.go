@@ -226,11 +226,11 @@ func TestChaosFabric(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	chaosExec := func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error) {
+	chaosExec := func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error) {
 		return chaosResult(spec, cfg), nil
 	}
 	newChaosWorker := func(id string, seed uint64,
-		exec func(workload.Spec, topology.Config, bool, uint64, uint64, dve.EngineMode) (*dve.Result, error)) (*Worker, *chaosTransport) {
+		exec func(workload.Spec, topology.Config, bool, uint64, uint64) (*dve.Result, error)) (*Worker, *chaosTransport) {
 		tr := &chaosTransport{
 			base:       &http.Client{},
 			rng:        &chaosRand{z: seed},
@@ -265,7 +265,7 @@ func TestChaosFabric(t *testing.T) {
 	doomedCtx, kill := context.WithCancel(context.Background())
 	defer kill()
 	doomed, _ := newChaosWorker("doomed", 0xD00D,
-		func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error) {
+		func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error) {
 			once.Do(func() { close(stuck) })
 			<-release
 			return nil, context.Canceled

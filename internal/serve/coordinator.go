@@ -57,10 +57,6 @@ type leaseGrant struct {
 	Classify   bool            `json:"classify"`
 	WarmupOps  uint64          `json:"warmup_ops"`
 	MeasureOps uint64          `json:"measure_ops"`
-	// Engine is the coordinator's requested engine mode (dve.EngineMode
-	// flag spelling). It only sets the worker's goroutine count; the
-	// results, and so the cell key, do not depend on it.
-	Engine string `json:"engine"`
 	// Sweep and Cell are the span IDs minted at /run, propagated so the
 	// worker's own log lines join the coordinator's trace on the same keys.
 	// Sweep 0 means the cell predates ID minting (or a test enqueued it
@@ -196,7 +192,6 @@ func (s *Server) handleFabricLease(w http.ResponseWriter, r *http.Request) {
 		Classify:   l.job.classify,
 		WarmupOps:  s.runner.Scale.WarmupOps,
 		MeasureOps: s.runner.Scale.MeasureOps,
-		Engine:     s.runner.Engine.String(),
 		Sweep:      l.job.sweep,
 		Cell:       l.job.cell,
 	})

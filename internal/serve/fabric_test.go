@@ -54,7 +54,7 @@ func newCoordinator(t *testing.T, leaseTTL, workerTTL time.Duration,
 // newFabricWorker builds a Worker against url whose Exec fabricates results
 // without simulating.
 func newFabricWorker(t *testing.T, url, id string,
-	exec func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error)) *Worker {
+	exec func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error)) *Worker {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
 		Coordinator: url,
@@ -71,7 +71,7 @@ func newFabricWorker(t *testing.T, url, id string,
 	return w
 }
 
-func fakeExec(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error) {
+func fakeExec(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error) {
 	return fakeResult(spec, cfg), nil
 }
 
@@ -178,7 +178,7 @@ func TestWorkerDeathRecovery(t *testing.T) {
 	ctx, kill := context.WithCancel(context.Background())
 	defer kill()
 	w := newFabricWorker(t, ts.URL, "doomed",
-		func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error) {
+		func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error) {
 			once.Do(func() { close(stuck) })
 			<-release
 			return nil, context.Canceled
@@ -419,7 +419,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := newFabricWorker(t, ts.URL, "w1",
-		func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error) {
+		func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error) {
 			count(spec, cfg)
 			return fakeResult(spec, cfg), nil
 		})

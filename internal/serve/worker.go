@@ -60,10 +60,9 @@ type WorkerConfig struct {
 	Seed uint64
 	// Client is the HTTP seam; nil means a plain http.Client.
 	Client Doer
-	// Exec runs one cell; nil means the Runner at the granted scale and
-	// engine mode. Tests swap it to control timing and results without
-	// simulating.
-	Exec func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error)
+	// Exec runs one cell; nil means the Runner at the granted scale. Tests
+	// swap it to control timing and results without simulating.
+	Exec func(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error)
 	// Sleep replaces the backoff/poll sleep in tests; nil sleeps on a
 	// timer honoring context cancellation.
 	Sleep func(d time.Duration)
@@ -136,10 +135,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-func (w *Worker) runnerExec(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64, engine dve.EngineMode) (*dve.Result, error) {
+func (w *Worker) runnerExec(spec workload.Spec, cfg topology.Config, classify bool, warmup, measure uint64) (*dve.Result, error) {
 	r := w.cfg.Runner
 	r.Scale = experiments.Scale{WarmupOps: warmup, MeasureOps: measure}
-	r.Engine = engine
 	res, _, err := r.RunCell(spec, cfg, classify)
 	return res, err
 }
@@ -326,18 +324,14 @@ func (w *Worker) execute(ctx context.Context, grant leaseGrant) {
 	// Recompute the content key locally: a worker whose binary disagrees
 	// with the coordinator about what these inputs mean must refuse the
 	// cell rather than cache a result under the wrong address.
-	mode, err := dve.ParseEngineMode(grant.Engine)
-	var key results.Key
-	if err == nil {
-		key, err = results.CellKey{
-			Workload:   grant.Workload,
-			Config:     grant.Config,
-			WarmupOps:  grant.WarmupOps,
-			MeasureOps: grant.MeasureOps,
-			Classify:   grant.Classify,
-			Seed:       grant.Workload.Seed,
-		}.Hash()
-	}
+	key, err := results.CellKey{
+		Workload:   grant.Workload,
+		Config:     grant.Config,
+		WarmupOps:  grant.WarmupOps,
+		MeasureOps: grant.MeasureOps,
+		Classify:   grant.Classify,
+		Seed:       grant.Workload.Seed,
+	}.Hash()
 	if err == nil && string(key) != grant.Key {
 		err = fmt.Errorf("cell key mismatch: coordinator %s, worker %s (version skew?)", grant.Key, key)
 	}
@@ -379,7 +373,7 @@ func (w *Worker) execute(ctx context.Context, grant leaseGrant) {
 	}()
 
 	res, execErr := w.cfg.Exec(grant.Workload, grant.Config, grant.Classify,
-		grant.WarmupOps, grant.MeasureOps, mode)
+		grant.WarmupOps, grant.MeasureOps)
 	close(done)
 	hbWG.Wait()
 	if ctx.Err() != nil {

@@ -23,14 +23,13 @@ package sim
 import "sync"
 
 // crossEvent is one mailbox entry: an absolute-time event bound for another
-// partition. Closure sends ride in fn; the typed fast path rides in (h,
-// arg, v) with fn nil — mirroring the Engine event representation.
+// partition, in the Engine's typed (h, arg, v) form. Closure sends ride as
+// (runClosure, fn), exactly as Engine.At stores them.
 type crossEvent struct {
 	when Cycle
 	h    Handler
 	arg  any
 	v    uint64
-	fn   func()
 }
 
 // ParallelEngine coordinates nparts calendar-queue partitions that may only
@@ -119,9 +118,7 @@ func (pe *ParallelEngine) BarrierStalls() uint64 { return pe.stalls }
 // clock; violating it means the configured link latency did not actually
 // bound the message, i.e. the conservative synchronization would be wrong.
 func (pe *ParallelEngine) CrossAt(src, dst int, when Cycle, fn func()) {
-	pe.checkLookahead(src, when)
-	lane := &pe.lanes[src*len(pe.parts)+dst]
-	*lane = append(*lane, crossEvent{when: when, fn: fn})
+	pe.CrossAtFn(src, dst, when, runClosure, fn, 0)
 }
 
 // CrossAtFn is the allocation-free fast path of CrossAt, mirroring
@@ -272,11 +269,7 @@ func (pe *ParallelEngine) merge() {
 		p := pe.parts[dst]
 		for i := range buf {
 			ev := &buf[i]
-			if ev.fn != nil {
-				p.At(ev.when, ev.fn)
-			} else {
-				p.AtFn(ev.when, ev.h, ev.arg, ev.v)
-			}
+			p.AtFn(ev.when, ev.h, ev.arg, ev.v)
 		}
 		clear(buf)
 		pe.scratch = buf[:0]

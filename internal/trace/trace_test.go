@@ -231,8 +231,8 @@ func TestCaptureReportsClampedCompute(t *testing.T) {
 
 // Regression for the silent-clamp bug: a clamp-free capture replayed through
 // the simulator must reproduce the live generator run's protocol counters
-// exactly. The replay's external Source runs on one worker; the live run
-// uses the default engine mode, which must not matter.
+// exactly. The replay's external Source forces one worker; the live run
+// uses the default (serial) engine mode.
 func TestReplayCountersMatchLive(t *testing.T) {
 	spec, _ := workload.ByName("stencil", 16)
 	var buf bytes.Buffer
