@@ -204,7 +204,7 @@ func (c *Cache) Insert(l topology.Line, s State) (e *Entry, victim Entry, ok boo
 // without modifying the cache. ok is false when no eviction would occur.
 func (c *Cache) VictimFor(l topology.Line) (victim Entry, ok bool) {
 	if c.fa != nil {
-		if len(c.fa.free) > 0 || c.fa.pos(l) >= 0 {
+		if len(c.fa.free) > 0 || c.fa.find(l) >= 0 {
 			return Entry{}, false
 		}
 		return c.fa.slots[c.fa.head], true

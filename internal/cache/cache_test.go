@@ -473,3 +473,44 @@ func BenchmarkFullyAssoc(b *testing.B) {
 		faMix(c, &x)
 	}
 }
+
+// TestMSHRReentrantWaiters pins the hand-off between Release and the
+// waiters it returns: a waiter may re-allocate the line and defer more
+// waiters than the released list holds while the caller is still walking
+// that list. Every waiter must run exactly once, generation by generation
+// in FIFO order, so the new list must never share the released one's
+// backing array.
+func TestMSHRReentrantWaiters(t *testing.T) {
+	m := NewMSHR(0)
+	l := line(1)
+	var ran []string
+	waiter := func(name string) func() {
+		return func() { ran = append(ran, name) }
+	}
+	m.Allocate(l)
+	m.Defer(l, func() {
+		ran = append(ran, "a0")
+		m.Allocate(l)
+		for _, n := range []string{"b0", "b1", "b2", "b3"} {
+			m.Defer(l, waiter(n))
+		}
+	})
+	m.Defer(l, func() {
+		ran = append(ran, "a1")
+		m.Defer(l, waiter("b4"))
+	})
+	m.Defer(l, waiter("a2"))
+	for _, w := range m.Release(l) {
+		w()
+	}
+	for _, w := range m.Release(l) {
+		w()
+	}
+	if m.Busy(l) || m.Inflight() != 0 {
+		t.Fatal("line still busy after both generations released")
+	}
+	want := []string{"a0", "a1", "a2", "b0", "b1", "b2", "b3", "b4"}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("waiters ran %v, want %v", ran, want)
+	}
+}

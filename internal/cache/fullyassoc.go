@@ -1,13 +1,9 @@
 package cache
 
-import (
-	"math/bits"
-
-	"dve/internal/topology"
-)
+import "dve/internal/topology"
 
 // faIndex makes every operation of a fully associative cache O(1). The
-// entries live in slots allocated up front; an open-addressed table maps a
+// entries live in slots allocated up front; a LineIndex over lines maps a
 // resident line to its slot, a doubly linked list orders the valid slots
 // from least (head) to most (tail) recently used, and a stack holds the
 // invalid ones.
@@ -17,22 +13,18 @@ import (
 // eviction, and ticks are unique, so the head is the minimum-tick entry.
 type faIndex struct {
 	slots      []Entry
-	table      []int32 // slot+1 of a resident line, 0 when empty; linear probing
-	mask       int     // len(table)-1
-	shift      uint    // 64 - log2(len(table))
+	lines      []topology.Line // slots[s].Line, the keys idx probes
+	idx        LineIndex[topology.Line]
 	prev, next []int32 // LRU list links, -1 at either end
 	head, tail int32   // least and most recently used slot, -1 when empty
 	free       []int32 // invalid slots; the top is filled next
 }
 
 func newFAIndex(entries int) *faIndex {
-	// At most half full, so a probe run stays short.
-	tbits := bits.Len(uint(max(2*entries-1, 1)))
 	fa := &faIndex{
 		slots: make([]Entry, entries),
-		table: make([]int32, 1<<tbits),
-		mask:  1<<tbits - 1,
-		shift: uint(64 - tbits),
+		lines: make([]topology.Line, entries),
+		idx:   NewLineIndex[topology.Line](entries), // never grows
 		prev:  make([]int32, entries),
 		next:  make([]int32, entries),
 		head:  -1, // an empty list for reset to walk
@@ -50,7 +42,7 @@ func (fa *faIndex) reset() {
 	for s := fa.head; s >= 0; s = fa.next[s] {
 		fa.slots[s].State = Invalid
 	}
-	clear(fa.table)
+	fa.idx.Clear()
 	fa.head, fa.tail = -1, -1
 	fa.free = fa.free[:0]
 	for s := len(fa.slots) - 1; s >= 0; s-- {
@@ -58,58 +50,9 @@ func (fa *faIndex) reset() {
 	}
 }
 
-// home is the table position a line's probe starts at (Fibonacci hashing).
-func (fa *faIndex) home(l topology.Line) int {
-	return int((uint64(l) * 0x9E3779B97F4A7C15) >> fa.shift)
-}
-
-// pos returns the table position holding line l, or -1 if l is absent.
-func (fa *faIndex) pos(l topology.Line) int {
-	for i := fa.home(l); ; i = (i + 1) & fa.mask {
-		s := fa.table[i]
-		if s == 0 {
-			return -1
-		}
-		if fa.slots[s-1].Line == l {
-			return i
-		}
-	}
-}
-
 // find returns the slot holding line l, or -1 if l is absent.
 func (fa *faIndex) find(l topology.Line) int32 {
-	if i := fa.pos(l); i >= 0 {
-		return fa.table[i] - 1
-	}
-	return -1
-}
-
-// add records that slot s holds line l, which must be absent.
-func (fa *faIndex) add(l topology.Line, s int32) {
-	i := fa.home(l)
-	for fa.table[i] != 0 {
-		i = (i + 1) & fa.mask
-	}
-	fa.table[i] = s + 1
-}
-
-// removeAt empties table position i and shifts later members of its probe
-// run back into the hole, so lookups never meet a tombstone.
-func (fa *faIndex) removeAt(i int) {
-	for j := i; ; {
-		j = (j + 1) & fa.mask
-		s := fa.table[j]
-		if s == 0 {
-			break
-		}
-		// The member at j may fill the hole unless its home lies
-		// cyclically in (i, j].
-		if h := fa.home(fa.slots[s-1].Line); (j-h)&fa.mask >= (j-i)&fa.mask {
-			fa.table[i] = s
-			i = j
-		}
-	}
-	fa.table[i] = 0
+	return int32(fa.idx.Find(fa.lines, l))
 }
 
 func (fa *faIndex) unlink(s int32) {
@@ -160,22 +103,21 @@ func (c *Cache) faInsert(l topology.Line, st State) (e *Entry, victim Entry, ok 
 		victim, ok = fa.slots[s], true
 		c.Evicts++
 		fa.unlink(s)
-		fa.removeAt(fa.pos(victim.Line))
+		fa.idx.Remove(fa.lines, victim.Line)
 	}
 	fa.slots[s] = Entry{Line: l, State: st, Owner: -1}
+	fa.lines[s] = l
 	fa.pushTail(s)
-	fa.add(l, s)
+	fa.idx.Insert(fa.lines, l, int(s))
 	return &fa.slots[s], victim, ok
 }
 
 // invalidate removes line l; it reports whether l was present.
 func (fa *faIndex) invalidate(l topology.Line) bool {
-	i := fa.pos(l)
-	if i < 0 {
+	s := int32(fa.idx.Remove(fa.lines, l))
+	if s < 0 {
 		return false
 	}
-	s := fa.table[i] - 1
-	fa.removeAt(i)
 	fa.unlink(s)
 	fa.slots[s].State = Invalid
 	fa.free = append(fa.free, s)

@@ -7,7 +7,8 @@ import "dve/internal/topology"
 // invariant the paper's recovery path relies on ("any concurrent request ...
 // is serialized and coalesced at the directory in the MSHR", Section V-C3).
 type MSHR struct {
-	entries map[topology.Line][]func()
+	// waiters holds each busy line's deferred requests in FIFO order.
+	waiters LineTable[topology.Line, []func()]
 	limit   int
 	// Stalls counts requests that found the structure at its limit.
 	Stalls uint64
@@ -16,52 +17,55 @@ type MSHR struct {
 // NewMSHR creates an MSHR table with a maximum number of distinct in-flight
 // lines (0 means unlimited).
 func NewMSHR(limit int) *MSHR {
-	return &MSHR{entries: make(map[topology.Line][]func()), limit: limit}
+	return &MSHR{waiters: NewLineTable[topology.Line, []func()](0), limit: limit}
 }
 
 // Busy reports whether a transaction is outstanding for the line.
 func (m *MSHR) Busy(l topology.Line) bool {
-	_, ok := m.entries[l]
-	return ok
+	return m.waiters.Get(l) != nil
 }
 
 // Full reports whether a new line could not be allocated.
 func (m *MSHR) Full() bool {
-	return m.limit > 0 && len(m.entries) >= m.limit
+	return m.limit > 0 && m.waiters.Len() >= m.limit
 }
 
 // Allocate reserves the line. It panics if the line is already busy (callers
 // must check Busy first) and returns false if the table is full.
 func (m *MSHR) Allocate(l topology.Line) bool {
-	if m.Busy(l) {
-		panic("mshr: double allocate")
-	}
 	if m.Full() {
+		if m.Busy(l) {
+			panic("mshr: double allocate")
+		}
 		m.Stalls++
 		return false
 	}
-	m.entries[l] = nil
+	if _, added := m.waiters.Put(l); !added {
+		panic("mshr: double allocate")
+	}
 	return true
 }
 
 // Defer queues fn to run when the line's current transaction completes.
 func (m *MSHR) Defer(l topology.Line, fn func()) {
-	if !m.Busy(l) {
+	w := m.waiters.Get(l)
+	if w == nil {
 		panic("mshr: defer without allocation")
 	}
-	m.entries[l] = append(m.entries[l], fn)
+	*w = append(*w, fn)
 }
 
 // Release completes the line's transaction and returns the deferred waiters
-// in FIFO order. The caller is responsible for running them.
+// in FIFO order. The caller is responsible for running them; the MSHR keeps
+// no reference to the returned slice, so waiters that re-allocate the line
+// start a fresh list.
 func (m *MSHR) Release(l topology.Line) []func() {
-	waiters, ok := m.entries[l]
+	waiters, ok := m.waiters.Delete(l)
 	if !ok {
 		panic("mshr: release without allocation")
 	}
-	delete(m.entries, l)
 	return waiters
 }
 
 // Inflight returns the number of lines with outstanding transactions.
-func (m *MSHR) Inflight() int { return len(m.entries) }
+func (m *MSHR) Inflight() int { return m.waiters.Len() }

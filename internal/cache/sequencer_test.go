@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"dve/internal/sim"
@@ -113,5 +114,32 @@ func BenchmarkSequencer(b *testing.B) {
 		eng.Schedule(1<<16, nop) // ring-aligned batches, as in the alloc test
 		eng.Run()
 		n += k
+	}
+}
+
+// TestSequencerContendedFIFO queues several transactions on one held line:
+// each is deferred into the MSHR, re-enters Do when woken, and may be
+// deferred again. All must run exactly once, in issue order, while other
+// lines come and go in the same MSHR.
+func TestSequencerContendedFIFO(t *testing.T) {
+	eng := sim.NewEngine()
+	q := NewSequencer(eng, 5, NewMSHR(0))
+	l := topology.Line(64)
+	var order []int
+	for i := 0; i < 6; i++ {
+		i := i
+		q.Do(l, func(release func()) {
+			order = append(order, i)
+			// Churn another line while this one is held.
+			q.Do(l+topology.Line(64*(i+1)), func(r func()) { r() })
+			eng.Schedule(sim.Cycle(3+i%3), release)
+		})
+	}
+	eng.Run()
+	if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
+		t.Fatalf("ran %v, want [0 1 2 3 4 5]", order)
+	}
+	if q.MSHR().Inflight() != 0 {
+		t.Fatalf("%d lines still in flight after all releases", q.MSHR().Inflight())
 	}
 }

@@ -7,12 +7,11 @@ import (
 )
 
 // BenchmarkDirectoryLookup measures the home directory's entry path — the
-// line-index map plus the slab dereference — over a populated directory,
+// line index plus the slab dereference — over a populated directory,
 // the lookup every coherence transaction starts with.
 func BenchmarkDirectoryLookup(b *testing.B) {
 	cfg := topology.Default(topology.ProtoBaseline)
 	const lines = 1 << 14
-	cfg.FootprintHintLines = lines * 2 // both sockets' shares
 	s, err := newSystem(&cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -31,11 +30,11 @@ func BenchmarkDirectoryLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectoryInsert measures first-touch tracking: map insert, slab
-// append (amortised), and the first-touch order log.
+// BenchmarkDirectoryInsert measures first-touch tracking: index insert and
+// slab append (both amortised over their growth), and the first-touch
+// order log.
 func BenchmarkDirectoryInsert(b *testing.B) {
 	cfg := topology.Default(topology.ProtoBaseline)
-	cfg.FootprintHintLines = b.N * cfg.Sockets
 	s, err := newSystem(&cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -35,13 +35,12 @@ const (
 type HomeDir struct {
 	sys    *System
 	socket int
-	// entries maps a line to its slab slot; slabs hold the entry values.
-	// Entry i of lineOrder occupies slot i.
-	entries map[topology.Line]int32
-	slabs   [][]dirEntry
 	// lineOrder lists tracked lines in first-touch order (for the patrol
-	// scrubber's deterministic walk).
+	// scrubber's deterministic walk); entries indexes it. The line at
+	// position i of lineOrder has its entry in slab slot i.
 	lineOrder []topology.Line
+	entries   cache.LineIndex[topology.Line]
+	slabs     [][]dirEntry
 	seqq      *cache.Sequencer
 
 	// degraded marks lines whose home copy suffered a hard fault; their
@@ -65,14 +64,16 @@ const (
 )
 
 func newHomeDir(s *System, socket int) *HomeDir {
-	// Each home directory tracks roughly its socket's share of the
-	// footprint; the fault-path maps stay small (they only hold lines that
-	// ever failed), so their hint is a fraction of that.
+	// The fault-path maps stay small (they only hold lines that ever
+	// failed), so their hint is a fraction of the socket's share of the
+	// footprint. The entry index starts empty and doubles as lines arrive:
+	// a run touches a small part of its footprint, and an index sized for
+	// all of it costs more to allocate and page in than the growth does.
 	hint := s.Cfg.FootprintHintLines / s.Cfg.Sockets
 	return &HomeDir{
 		sys:         s,
 		socket:      socket,
-		entries:     make(map[topology.Line]int32, hint),
+		entries:     cache.NewLineIndex[topology.Line](0),
 		seqq:        cache.NewSequencer(s.Engs[socket], sim.Cycle(s.Cfg.DirLatencyCyc), cache.NewMSHR(0)),
 		degraded:    make(map[topology.Line]bool, hint/64),
 		repairFails: make(map[topology.Line]int, hint/64),
@@ -80,30 +81,29 @@ func newHomeDir(s *System, socket int) *HomeDir {
 }
 
 // at returns the entry in slab slot i.
-func (d *HomeDir) at(i int32) *dirEntry {
+func (d *HomeDir) at(i int) *dirEntry {
 	return &d.slabs[i>>dirSlabBits][i&dirSlabMask]
 }
 
 func (d *HomeDir) entry(l topology.Line) *dirEntry {
-	if i, ok := d.entries[l]; ok {
+	n := len(d.lineOrder)
+	if i, added := d.entries.Insert(d.lineOrder, l, n); !added {
 		return d.at(i)
 	}
-	n := len(d.lineOrder)
+	d.lineOrder = append(d.lineOrder, l)
 	if n>>dirSlabBits == len(d.slabs) {
 		d.slabs = append(d.slabs, make([]dirEntry, 0, dirSlabSize))
 	}
 	sl := &d.slabs[n>>dirSlabBits]
 	*sl = append(*sl, dirEntry{state: cache.Invalid, owner: -1})
-	d.entries[l] = int32(n)
-	d.lineOrder = append(d.lineOrder, l)
 	return &(*sl)[n&dirSlabMask]
 }
 
 // Entry returns a copy of the directory entry for tests and the oracular
 // replica directory (which consults home state with oracle knowledge).
 func (d *HomeDir) Entry(l topology.Line) (state cache.State, owner int, sharers [2]bool) {
-	i, ok := d.entries[l]
-	if !ok {
+	i := d.entries.Find(d.lineOrder, l)
+	if i < 0 {
 		return cache.Invalid, -1, [2]bool{}
 	}
 	e := d.at(i)
@@ -119,8 +119,7 @@ func (d *HomeDir) DegradedLines() int { return len(d.degraded) }
 // victim-row bitflips on tracked lines so the flips are observable by
 // demand reads instead of rotting on never-read addresses.
 func (d *HomeDir) HasLine(l topology.Line) bool {
-	_, ok := d.entries[l]
-	return ok
+	return d.entries.Find(d.lineOrder, l) >= 0
 }
 
 func (d *HomeDir) dbg(l topology.Line, format string, args ...any) {
@@ -634,7 +633,7 @@ func (d *HomeDir) GrantRegion(base topology.Line, nLines int) bool {
 	step := topology.Line(d.sys.Cfg.LineSizeBytes)
 	for i := 0; i < nLines; i++ {
 		l := base + topology.Line(i)*step
-		if idx, ok := d.entries[l]; ok {
+		if idx := d.entries.Find(d.lineOrder, l); idx >= 0 {
 			e := d.at(idx)
 			if (e.state == cache.Modified || e.state == cache.Owned) && int(e.owner) == d.socket {
 				return false
@@ -661,12 +660,12 @@ func (d *HomeDir) OracleAddSharer(l topology.Line, socket int) {
 
 // LinesOwnedBy returns the lines currently owned (M/O) by the given socket
 // agent; the dynamic protocol's warmup uses it to rebuild the deny set.
-// Iterating lineOrder (first-touch order) instead of the entries map keeps
-// the result — and every deny push scheduled from it — deterministic.
+// Iterating lineOrder (first-touch order) keeps the result — and every deny
+// push scheduled from it — deterministic.
 func (d *HomeDir) LinesOwnedBy(socket int) []topology.Line {
 	var out []topology.Line
 	for i, l := range d.lineOrder {
-		e := d.at(int32(i))
+		e := d.at(i)
 		if (e.state == cache.Modified || e.state == cache.Owned) && int(e.owner) == socket {
 			out = append(out, l)
 		}

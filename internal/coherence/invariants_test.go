@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dve/internal/cache"
 	"dve/internal/topology"
 )
 
@@ -67,5 +68,32 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	v := s.CheckInvariants()
 	if len(v) == 0 {
 		t.Fatal("two writers of one line went undetected")
+	}
+}
+
+// The audit's report is part of every campaign journal, so its exact text
+// is pinned: one line writable in LLC 0 and readable in LLC 1, and one the
+// other way round, planted by direct store edits on a fresh system.
+func TestInvariantsSWMRReportGolden(t *testing.T) {
+	s := newSys(topology.ProtoBaseline)
+	a, b := s.AMap.LineOf(0), s.AMap.LineOf(4096)
+	s.LLCs[0].store.Insert(a, cache.Modified)
+	s.LLCs[1].store.Insert(a, cache.Shared)
+	s.LLCs[0].store.Insert(b, cache.Shared)
+	s.LLCs[1].store.Insert(b, cache.Modified)
+	got := s.CheckInvariants()
+	want := []string{
+		"LLC 0 holds 0x0 in M but home dir says I/owner -1",
+		"LLC 1 holds 0x1000 in M but home dir says I/owner -1",
+		"SWMR: line 0x0 held by 1 writers / 1 readers (holders [{0 3} {1 1}]; home=0 dir=I owner=-1 sharers=[false false])",
+		"SWMR: line 0x1000 held by 1 writers / 1 readers (holders [{0 1} {1 3}]; home=1 dir=I owner=-1 sharers=[false false])",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d violations, want %d:\n%#v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("violation %d:\n got %q\nwant %q", i, got[i], want[i])
+		}
 	}
 }

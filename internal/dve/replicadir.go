@@ -52,7 +52,7 @@ type ReplicaDir struct {
 	store *cache.Cache
 	// backing is the deny protocol's durable per-line state (the in-memory
 	// full directory the cache misses fetch from).
-	backing map[topology.Line]cache.State
+	backing cache.LineTable[topology.Line, cache.State]
 	// regions tracks coarse-grain grants (allow + CoarseGrain, Fig 9).
 	regions map[uint64]bool
 	// owners durably records lines this socket's LLC holds in M. It models
@@ -60,7 +60,7 @@ type ReplicaDir struct {
 	// evict an owner entry (the model checker shows a stale writeback would
 	// then corrupt the replica), so ownership records are exempt from the
 	// capacity-bounded store.
-	owners map[topology.Line]bool
+	owners cache.LineTable[topology.Line, struct{}]
 
 	seqq *cache.Sequencer
 
@@ -71,7 +71,7 @@ type ReplicaDir struct {
 	// race benign in the verified model. Writebacks (LocalPUTM) do not set
 	// it: deferring probes across a writeback would deadlock with the home
 	// MSHR, and the LLC answers probes correctly during one.
-	fillPending map[topology.Line][]func()
+	fillPending cache.LineTable[topology.Line, []func()]
 
 	// dirFetchLat is the cost of fetching a directory entry from DRAM on a
 	// store miss under the deny protocol.
@@ -89,10 +89,10 @@ func New(sys *coherence.System, socket int, mode Mode) *ReplicaDir {
 		socket:      socket,
 		mode:        mode,
 		store:       cache.NewFullyAssoc(cfg.ReplicaDirEntries, cfg.LineSizeBytes),
-		backing:     make(map[topology.Line]cache.State),
+		backing:     cache.NewLineTable[topology.Line, cache.State](0),
 		regions:     make(map[uint64]bool),
-		owners:      make(map[topology.Line]bool),
-		fillPending: make(map[topology.Line][]func()),
+		owners:      cache.NewLineTable[topology.Line, struct{}](0),
+		fillPending: cache.NewLineTable[topology.Line, []func()](0),
 		seqq: cache.NewSequencer(sys.Engs[socket], sim.Cycle(cfg.DirLatencyCyc),
 			cache.NewMSHR(0)),
 		dirFetchLat: sim.Cycle(cfg.Cycles(cfg.TRCDns+cfg.TCLns)) +
@@ -230,13 +230,13 @@ func (rd *ReplicaDir) allowGETS(l topology.Line, fin func(bool)) {
 		// Mark the fill in flight so home probes defer behind it; this
 		// transaction completes without home involvement, so the deferral
 		// cannot deadlock against the home MSHR.
-		rd.fillPending[l] = nil
+		rd.fillPending.Set(l, nil)
 		rd.readReplicaMem(l, func() { fin(true) })
 		return
 	}
 	if rd.sys.Cfg.CoarseGrain && rd.regions[rd.regionOf(l)] {
 		cnt.ReplicaDirHits++
-		rd.fillPending[l] = nil
+		rd.fillPending.Set(l, nil)
 		rd.readReplicaMem(l, func() { fin(true) })
 		return
 	}
@@ -279,7 +279,7 @@ func (rd *ReplicaDir) allowLineMiss(l topology.Line, fin func(bool)) {
 		rd.home().ReplicaGETS(l, func(dataShipped bool) {
 			// Grant received: home has serialized us; probes sent by later
 			// home transactions must now wait for our fill.
-			rd.fillPending[l] = nil
+			rd.fillPending.Set(l, nil)
 			rd.insertEntry(l, cache.Shared)
 			if dataShipped {
 				// Home LLC was dirty: the shipped data is also the replica
@@ -316,7 +316,7 @@ func (rd *ReplicaDir) allowRegionMiss(l topology.Line, fin func(bool)) {
 		rd.sys.Link.Send((rd.socket+1)%rd.sys.Cfg.Sockets, noc.CtrlBytes, func() {
 			if granted {
 				rd.regions[region] = true
-				rd.fillPending[l] = nil
+				rd.fillPending.Set(l, nil)
 				rd.readReplicaMem(l, func() { fin(true) })
 				return
 			}
@@ -355,11 +355,14 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		// must not be read stale here — nor clobbered with Shared below,
 		// which would let this socket fill a line the home side holds
 		// writable (an SWMR violation).
-		st, ok := rd.backing[l]
-		if !cachedEntry {
-			rd.insertEntry(l, stOrShared(st, ok))
+		st := cache.Shared
+		if p := rd.backing.Get(l); p != nil {
+			st = *p
 		}
-		if ok && st == cache.RemoteModified {
+		if !cachedEntry {
+			rd.insertEntry(l, st)
+		}
+		if st == cache.RemoteModified {
 			// Replica is stale: the home LLC holds the line writable.
 			if spec {
 				cnt.SpecSquashed++
@@ -367,8 +370,8 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 			}
 			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 				rd.home().ReplicaGETS(l, func(dataShipped bool) {
-					rd.fillPending[l] = nil
-					rd.backing[l] = cache.Shared
+					rd.fillPending.Set(l, nil)
+					rd.backing.Set(l, cache.Shared)
 					rd.insertEntry(l, cache.Shared)
 					if dataShipped {
 						rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
@@ -381,8 +384,8 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		// Absence (or S/M): the replica is current — read it locally with
 		// no link traffic at all. Home probes defer behind the in-flight
 		// fill (no home transaction involved: deadlock-free).
-		rd.fillPending[l] = nil
-		rd.backing[l] = cache.Shared
+		rd.fillPending.Set(l, nil)
+		rd.backing.Set(l, cache.Shared)
 		if spec {
 			if join.specDone {
 				fin(true)
@@ -396,13 +399,6 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 	})
 }
 
-func stOrShared(st cache.State, ok bool) cache.State {
-	if ok {
-		return st
-	}
-	return cache.Shared
-}
-
 // oracleGETS models the oracular allow scheme of Fig 9: infinite entries and
 // zero-latency insertion. It consults home state with oracle knowledge; only
 // genuinely-required transfers (home-side dirty data) pay latency.
@@ -414,7 +410,7 @@ func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
 		cnt.ReplicaDirMisses++
 		rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 			rd.home().ReplicaGETS(l, func(dataShipped bool) {
-				rd.fillPending[l] = nil
+				rd.fillPending.Set(l, nil)
 				if dataShipped {
 					rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
 				}
@@ -425,7 +421,7 @@ func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
 	}
 	cnt.ReplicaDirHits++
 	rd.home().OracleAddSharer(l, rd.socket)
-	rd.fillPending[l] = nil
+	rd.fillPending.Set(l, nil)
 	rd.readReplicaMem(l, func() { fin(true) })
 }
 
@@ -448,7 +444,7 @@ func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
 		rd.sys.Engs[rd.socket].Schedule(entryLat, func() {
 			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 				rd.home().ReplicaGETX(l, func(dataShipped bool) {
-					rd.fillPending[l] = nil
+					rd.fillPending.Set(l, nil)
 					rd.recordOwnership(l)
 					if dataShipped || !needData {
 						fin()
@@ -463,13 +459,13 @@ func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
 }
 
 func (rd *ReplicaDir) recordOwnership(l topology.Line) {
-	rd.owners[l] = true
+	rd.owners.Set(l, struct{}{})
 	if rd.oracular {
 		return
 	}
 	rd.insertEntry(l, cache.Modified)
 	if rd.mode == Deny {
-		rd.backing[l] = cache.Modified
+		rd.backing.Set(l, cache.Modified)
 	}
 }
 
@@ -485,7 +481,7 @@ func (rd *ReplicaDir) insertEntry(l topology.Line, st cache.State) {
 // copies are written synchronously (Section V-B1).
 func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 	rd.seq("LocalPUTM", l, func(release func()) {
-		if !rd.owners[l] {
+		if rd.owners.Get(l) == nil {
 			// Ownership was fetched away while this writeback was queued:
 			// the fetch already carried the data home. Applying the stale
 			// data now would corrupt the replica (found by the model
@@ -494,7 +490,7 @@ func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 			release()
 			return
 		}
-		delete(rd.owners, l)
+		rd.owners.Delete(l)
 		rd.sys.Cnts[rd.socket].DualWritebacks++
 		remaining := 2
 		part := func() {
@@ -514,7 +510,7 @@ func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 		})
 		// Both copies now (will) hold current data.
 		if rd.mode == Deny {
-			delete(rd.backing, l)
+			rd.backing.Delete(l)
 		}
 		rd.store.Invalidate(l)
 	})
@@ -522,8 +518,7 @@ func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 
 // fillDone completes a demand fill: deferred home probes now run, in order.
 func (rd *ReplicaDir) fillDone(l topology.Line) {
-	waiters := rd.fillPending[l]
-	delete(rd.fillPending, l)
+	waiters, _ := rd.fillPending.Delete(l)
 	for _, w := range waiters {
 		w()
 	}
@@ -532,8 +527,8 @@ func (rd *ReplicaDir) fillDone(l topology.Line) {
 // deferToFill queues fn behind an in-flight demand fill for the line; it
 // reports whether a fill was pending.
 func (rd *ReplicaDir) deferToFill(l topology.Line, fn func()) bool {
-	if w, ok := rd.fillPending[l]; ok {
-		rd.fillPending[l] = append(w, fn)
+	if w := rd.fillPending.Get(l); w != nil {
+		*w = append(*w, fn)
 		return true
 	}
 	return false
@@ -547,10 +542,10 @@ func (rd *ReplicaDir) HomeInvalidate(l topology.Line, ack func()) {
 		return
 	}
 	lat := sim.Cycle(rd.sys.Cfg.DirLatencyCyc)
-	delete(rd.owners, l)
+	rd.owners.Delete(l)
 	rd.sys.LLCs[rd.socket].Probe(l, true)
 	if rd.mode == Deny && !rd.oracular {
-		rd.backing[l] = cache.RemoteModified
+		rd.backing.Set(l, cache.RemoteModified)
 		rd.insertEntry(l, cache.RemoteModified)
 	} else {
 		rd.store.Invalidate(l)
@@ -582,7 +577,7 @@ func (rd *ReplicaDir) HomeUndeny(l topology.Line) {
 	if rd.mode != Deny {
 		return
 	}
-	delete(rd.backing, l)
+	rd.backing.Delete(l)
 	rd.store.Invalidate(l)
 }
 
@@ -593,12 +588,12 @@ func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
 		return
 	}
 	lat := sim.Cycle(rd.sys.Cfg.DirLatencyCyc + rd.sys.Cfg.LLCLatencyCyc)
-	delete(rd.owners, l)
+	rd.owners.Delete(l)
 	if invalidate {
 		rd.sys.LLCs[rd.socket].Probe(l, true)
 		if rd.mode == Deny && !rd.oracular {
 			// The home side is taking exclusive access.
-			rd.backing[l] = cache.RemoteModified
+			rd.backing.Set(l, cache.RemoteModified)
 			rd.insertEntry(l, cache.RemoteModified)
 		} else {
 			rd.store.Invalidate(l)
@@ -609,7 +604,7 @@ func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
 		// data message back to home updates the home copy.
 		rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
 		if rd.mode == Deny && !rd.oracular {
-			rd.backing[l] = cache.Shared
+			rd.backing.Set(l, cache.Shared)
 		}
 		rd.insertEntry(l, cache.Shared)
 	}
@@ -624,12 +619,12 @@ func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
 func (rd *ReplicaDir) Drain(done func()) {
 	rd.store.Clear()
 	rd.regions = make(map[uint64]bool)
-	rd.backing = make(map[topology.Line]cache.State)
+	rd.backing.Clear()
 	// Ownership records are rebuilt from the home directory (the durable
 	// source of truth) so stale writebacks stay detectable across a switch.
-	rd.owners = make(map[topology.Line]bool)
+	rd.owners.Clear()
 	for _, l := range rd.home().LinesOwnedBy(rd.socket) {
-		rd.owners[l] = true
+		rd.owners.Set(l, struct{}{})
 	}
 	rd.sys.Engs[rd.socket].Schedule(sim.Cycle(rd.sys.Cfg.DirLatencyCyc), done)
 }
@@ -649,7 +644,7 @@ func (rd *ReplicaDir) SetMode(m Mode, done func()) {
 			// Warmup: pull the deny set (home-side writable lines) so that
 			// entry absence is trustworthy again.
 			for _, l := range rd.home().LinesOwnedBy((rd.socket + 1) % rd.sys.Cfg.Sockets) {
-				rd.backing[l] = cache.RemoteModified
+				rd.backing.Set(l, cache.RemoteModified)
 			}
 		}
 		done()

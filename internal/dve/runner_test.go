@@ -1,6 +1,7 @@
 package dve
 
 import (
+	"reflect"
 	"testing"
 
 	"dve/internal/topology"
@@ -206,5 +207,28 @@ func TestInvariantsAfterRuns(t *testing.T) {
 		for _, viol := range res.InvariantViolations {
 			t.Errorf("%v: %s", p, viol)
 		}
+	}
+}
+
+// TestFootprintHintIsCapacityOnly runs fft/deny at Quick scale with the
+// smallest footprint hint, so every hint-sized table starts tiny and grows
+// through the run, and demands the same Result as the default hint.
+func TestFootprintHintIsCapacityOnly(t *testing.T) {
+	spec, ok := workload.ByName("fft", 16)
+	if !ok {
+		t.Fatal("unknown workload fft")
+	}
+	run := func(hint int) *Result {
+		cfg := topology.Default(topology.ProtoDeny)
+		cfg.FootprintHintLines = hint
+		res, err := Run(spec, RunConfig{Cfg: cfg, WarmupOps: 50_000, MeasureOps: 120_000})
+		if err != nil {
+			t.Fatalf("hint %d: %v", hint, err)
+		}
+		return res
+	}
+	def, tiny := run(0), run(1)
+	if !reflect.DeepEqual(def, tiny) {
+		t.Errorf("hint 1 changed the result:\ndefault: %s\nhint 1:  %s", fingerprint(t, def), fingerprint(t, tiny))
 	}
 }

@@ -7,6 +7,7 @@
 package mem
 
 import (
+	"dve/internal/cache"
 	"dve/internal/sim"
 	"dve/internal/telemetry"
 	"dve/internal/topology"
@@ -52,7 +53,7 @@ type Controller struct {
 	// Refresh / row-hammer state (see refresh.go).
 	refreshOn    bool
 	refreshTicks uint64
-	hammer       []map[uint64]uint32
+	hammer       []cache.LineTable[uint64, uint32] // per channel, keyed by hammerKey
 
 	// OnHammer, when set, fires the first time a row's activation count
 	// crosses the hammer threshold within a refresh window (once per row

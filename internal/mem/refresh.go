@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"dve/internal/cache"
 	"dve/internal/sim"
 	"dve/internal/topology"
 )
@@ -45,16 +46,16 @@ func (mc *Controller) EnableRefresh() {
 		return
 	}
 	mc.refreshOn = true
-	// Pre-size each channel's hammer map for the distinct rows the footprint
-	// spans on this socket (activations cluster on touched rows, so this is
-	// the steady-state population).
+	// Pre-size each channel's hammer table for the distinct rows the
+	// footprint spans on this socket (activations cluster on touched rows,
+	// so this is the steady-state population).
 	rowHint := 0
 	if h := mc.cfg.FootprintHintLines; h > 0 {
 		rowHint = h * mc.cfg.LineSizeBytes / mc.cfg.RowBufferBytes / mc.cfg.Sockets
 	}
-	mc.hammer = make([]map[uint64]uint32, len(mc.channels))
+	mc.hammer = make([]cache.LineTable[uint64, uint32], len(mc.channels))
 	for i := range mc.hammer {
-		mc.hammer[i] = make(map[uint64]uint32, rowHint)
+		mc.hammer[i] = cache.NewLineTable[uint64, uint32](rowHint)
 	}
 	interval := sim.Cycle(mc.cfg.Cycles(tREFIns))
 	blocked := sim.Cycle(mc.cfg.Cycles(tRFCns))
@@ -77,12 +78,12 @@ func (mc *Controller) EnableRefresh() {
 			mc.Refreshes++
 		}
 		// A full retention window ends: hammer counters restart (each row
-		// has been refreshed once). clear keeps the maps' capacity, so a
+		// has been refreshed once). Clear keeps the tables' capacity, so a
 		// steady-state window allocates nothing.
 		mc.refreshTicks++
 		if mc.refreshTicks%ticksPerREFW == 0 {
 			for ci := range mc.hammer {
-				clear(mc.hammer[ci])
+				mc.hammer[ci].Clear()
 			}
 		}
 		mc.eng.ScheduleDaemon(interval, tick)
@@ -99,9 +100,10 @@ func (mc *Controller) noteActivate(ch int, co topology.DRAMCoord) bool {
 	if !mc.refreshOn || mc.hammer == nil {
 		return false
 	}
-	key := uint64(co.Bank)<<48 | co.Row
-	mc.hammer[ch][key]++
-	if mc.hammer[ch][key] == mc.hammerThreshold() {
+	cnt, _ := mc.hammer[ch].Put(hammerKey(co))
+	*cnt++
+	n := *cnt // OnHammer may add rows, which moves cnt
+	if n == mc.hammerThreshold() {
 		mc.HammeredRows++
 		if mc.OnHammer != nil {
 			co.Channel = ch
@@ -109,7 +111,18 @@ func (mc *Controller) noteActivate(ch int, co topology.DRAMCoord) bool {
 		}
 		return true
 	}
-	return mc.hammer[ch][key] > mc.hammerThreshold()
+	return n > mc.hammerThreshold()
+}
+
+// hammerKey identifies a row within its channel.
+func hammerKey(co topology.DRAMCoord) uint64 { return uint64(co.Bank)<<48 | co.Row }
+
+// activations returns a row's count in the current window (0 if absent).
+func (mc *Controller) activations(co topology.DRAMCoord) uint32 {
+	if p := mc.hammer[co.Channel].Get(hammerKey(co)); p != nil {
+		return *p
+	}
+	return 0
 }
 
 // ActivationsInWindow returns a row's activation count so far in the
@@ -119,7 +132,7 @@ func (mc *Controller) ActivationsInWindow(co topology.DRAMCoord) uint32 {
 	if !mc.refreshOn || mc.hammer == nil {
 		return 0
 	}
-	return mc.hammer[co.Channel][uint64(co.Bank)<<48|co.Row]
+	return mc.activations(co)
 }
 
 // HammerRisk reports whether an address's row is currently beyond the
@@ -128,7 +141,5 @@ func (mc *Controller) HammerRisk(a topology.Addr) bool {
 	if !mc.refreshOn || mc.hammer == nil {
 		return false
 	}
-	co := mc.amap.Decode(a)
-	key := uint64(co.Bank)<<48 | co.Row
-	return mc.hammer[co.Channel][key] >= mc.hammerThreshold()
+	return mc.activations(mc.amap.Decode(a)) >= mc.hammerThreshold()
 }

@@ -110,8 +110,8 @@ type Config struct {
 
 	// FootprintHintLines is the expected number of distinct cache lines the
 	// run will touch (derived from the workload footprint). It only pre-sizes
-	// directory and row-hammer tracking structures — capacity hints never
-	// change simulated behaviour. 0 means no hint.
+	// the row-hammer tables and the home directories' fault-path maps —
+	// capacity hints never change simulated behaviour. 0 means no hint.
 	FootprintHintLines int
 
 	// RowHammerThreshold overrides the per-row activation count within one
