@@ -28,7 +28,6 @@ func main() {
 		parallel = flag.Int("parallel", 8, "concurrent simulations")
 		cacheDir = flag.String("cache", "", "result cache directory (empty = no caching)")
 		minHit   = flag.Float64("min-cache-hit", 0, "fail if the cache hit rate ends below this fraction (CI guard)")
-		retries  = flag.Int("retries", 0, "per-cell retry budget")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
 	)
@@ -45,7 +44,7 @@ func main() {
 		}
 	}()
 
-	r := experiments.Runner{Parallelism: *parallel, Retries: *retries}
+	r := experiments.Runner{Parallelism: *parallel}
 	r.Scale, err = experiments.ScaleByName(*scale)
 	if err != nil {
 		fatal(err)

@@ -87,7 +87,6 @@ func main() {
 		scale    = flag.String("scale", "quick", "quick|standard|full")
 		workers  = flag.Int("workers", 4, "simulation pool size (worker role: concurrent cells)")
 		queue    = flag.Int("queue", 64, "queued-cell bound (enqueues past it get 429)")
-		retries  = flag.Int("retries", 1, "per-cell retry budget")
 		role     = flag.String("role", serve.RoleSolo, "solo|coordinator|worker")
 		peer     = flag.String("peer", "", "coordinator base URL (worker role)")
 		id       = flag.String("id", "", "worker name (worker role; default host:pid)")
@@ -113,7 +112,7 @@ func main() {
 	defer closeLog()
 
 	if *role == "worker" {
-		runWorker(*peer, *id, *workers, *retries, sc, log)
+		runWorker(*peer, *id, *workers, sc, log)
 		return
 	}
 
@@ -126,7 +125,6 @@ func main() {
 			Scale:       sc,
 			Parallelism: *workers,
 			Cache:       store,
-			Retries:     *retries,
 			Log:         log,
 		},
 		Workers:     *workers,
@@ -166,7 +164,7 @@ func main() {
 // runWorker runs n fabric worker loops against the coordinator at peer
 // until SIGTERM. Workers hold no cache: results travel in the complete RPC
 // and the coordinator's store is authoritative.
-func runWorker(peer, id string, n, retries int, sc experiments.Scale, log *obslog.Logger) {
+func runWorker(peer, id string, n int, sc experiments.Scale, log *obslog.Logger) {
 	if peer == "" {
 		fatal(fmt.Errorf("-role worker needs -peer <coordinator url>"))
 	}
@@ -184,7 +182,7 @@ func runWorker(peer, id string, n, retries int, sc experiments.Scale, log *obslo
 		w, err := serve.NewWorker(serve.WorkerConfig{
 			Coordinator: peer,
 			ID:          fmt.Sprintf("%s/%d", id, i),
-			Runner:      experiments.Runner{Scale: sc, Retries: retries, Log: log},
+			Runner:      experiments.Runner{Scale: sc, Log: log},
 			Log:         log,
 		})
 		if err != nil {

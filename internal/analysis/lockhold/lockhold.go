@@ -129,9 +129,9 @@ func lockRegions(pass *analysis.Pass, fd *ast.FuncDecl) []region {
 		read bool // RUnlock
 	}
 	var locks []struct {
-		base  string
-		read  bool // RLock
-		pos   token.Pos
+		base string
+		read bool // RLock
+		pos  token.Pos
 	}
 	unlocks := map[unlockKind][]token.Pos{}
 

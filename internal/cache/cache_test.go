@@ -174,13 +174,14 @@ func TestCapacityProperty(t *testing.T) {
 }
 
 func TestMSHRLifecycle(t *testing.T) {
-	m := NewMSHR(2)
+	m := NewMSHR()
 	l := line(1)
 	if m.Busy(l) {
 		t.Fatal("fresh MSHR busy")
 	}
-	if !m.Allocate(l) {
-		t.Fatal("allocate failed")
+	m.Allocate(l)
+	if !m.Busy(l) {
+		t.Fatal("allocated line not busy")
 	}
 	ran := []int{}
 	m.Defer(l, func() { ran = append(ran, 1) })
@@ -196,24 +197,8 @@ func TestMSHRLifecycle(t *testing.T) {
 	}
 }
 
-func TestMSHRLimit(t *testing.T) {
-	m := NewMSHR(1)
-	if !m.Allocate(line(1)) {
-		t.Fatal("first allocate failed")
-	}
-	if m.Allocate(line(2)) {
-		t.Fatal("allocate beyond limit succeeded")
-	}
-	if m.Stalls != 1 {
-		t.Fatalf("stalls = %d, want 1", m.Stalls)
-	}
-	if m.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", m.Inflight())
-	}
-}
-
 func TestMSHRPanics(t *testing.T) {
-	m := NewMSHR(0)
+	m := NewMSHR()
 	m.Allocate(line(1))
 	func() {
 		defer func() {
@@ -481,7 +466,7 @@ func BenchmarkFullyAssoc(b *testing.B) {
 // in FIFO order, so the new list must never share the released one's
 // backing array.
 func TestMSHRReentrantWaiters(t *testing.T) {
-	m := NewMSHR(0)
+	m := NewMSHR()
 	l := line(1)
 	var ran []string
 	waiter := func(name string) func() {

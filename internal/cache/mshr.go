@@ -9,15 +9,11 @@ import "dve/internal/topology"
 type MSHR struct {
 	// waiters holds each busy line's deferred requests in FIFO order.
 	waiters LineTable[topology.Line, []func()]
-	limit   int
-	// Stalls counts requests that found the structure at its limit.
-	Stalls uint64
 }
 
-// NewMSHR creates an MSHR table with a maximum number of distinct in-flight
-// lines (0 means unlimited).
-func NewMSHR(limit int) *MSHR {
-	return &MSHR{waiters: NewLineTable[topology.Line, []func()](0), limit: limit}
+// NewMSHR creates an empty MSHR table.
+func NewMSHR() *MSHR {
+	return &MSHR{waiters: NewLineTable[topology.Line, []func()](0)}
 }
 
 // Busy reports whether a transaction is outstanding for the line.
@@ -25,25 +21,12 @@ func (m *MSHR) Busy(l topology.Line) bool {
 	return m.waiters.Get(l) != nil
 }
 
-// Full reports whether a new line could not be allocated.
-func (m *MSHR) Full() bool {
-	return m.limit > 0 && m.waiters.Len() >= m.limit
-}
-
-// Allocate reserves the line. It panics if the line is already busy (callers
-// must check Busy first) and returns false if the table is full.
-func (m *MSHR) Allocate(l topology.Line) bool {
-	if m.Full() {
-		if m.Busy(l) {
-			panic("mshr: double allocate")
-		}
-		m.Stalls++
-		return false
-	}
+// Allocate reserves the line. It panics if the line is already busy:
+// callers must check Busy first.
+func (m *MSHR) Allocate(l topology.Line) {
 	if _, added := m.waiters.Put(l); !added {
 		panic("mshr: double allocate")
 	}
-	return true
 }
 
 // Defer queues fn to run when the line's current transaction completes.

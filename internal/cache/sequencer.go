@@ -24,13 +24,15 @@ type Sequencer struct {
 	mshr *MSHR
 	free []*seqCall
 
-	// Trace, when non-nil, records contended dispatches (a transaction
-	// deferred behind an in-flight one on the same line) as instant events
-	// on the owner's (Comp, Socket) track. The disabled path is one nil
-	// check; the alloc test pins it at 0 allocs/op.
+	// Trace, when non-nil, spans every transaction on the owner's (comp,
+	// socket) track — Begin once the line is held, End at release, before
+	// the deferred waiters run — and records contended dispatches (a
+	// transaction deferred behind an in-flight one on the same line) as
+	// instant events. The disabled path is one nil check; the alloc test
+	// pins it at 0 allocs/op.
 	Trace  *telemetry.Tracer
-	Comp   telemetry.Component
-	Socket int
+	comp   telemetry.Component
+	socket int
 }
 
 // seqCall carries one transaction from Do to its release: it rides the
@@ -38,25 +40,29 @@ type Sequencer struct {
 // calls release, which recycles it.
 type seqCall struct {
 	q       *Sequencer
+	name    string
 	l       topology.Line
+	span    telemetry.SpanID
 	fn      func(release func())
 	release func()
 }
 
-// NewSequencer creates a sequencer over the MSHR with the given per-access
-// latency.
-func NewSequencer(eng *sim.Engine, lat sim.Cycle, mshr *MSHR) *Sequencer {
-	return &Sequencer{eng: eng, lat: lat, mshr: mshr}
+// NewSequencer creates a sequencer with its own MSHR and the given
+// per-access latency. comp and socket name the trace track its
+// transactions are reported on.
+func NewSequencer(eng *sim.Engine, lat sim.Cycle, comp telemetry.Component, socket int) *Sequencer {
+	return &Sequencer{eng: eng, lat: lat, mshr: NewMSHR(), comp: comp, socket: socket}
 }
 
 // MSHR returns the underlying MSHR table.
 func (q *Sequencer) MSHR() *MSHR { return q.mshr }
 
 // Do schedules fn to run on the line after the access latency, serialized
-// against any in-flight transaction on the same line.
-func (q *Sequencer) Do(l topology.Line, fn func(release func())) {
+// against any in-flight transaction on the same line. name labels the
+// transaction's trace span.
+func (q *Sequencer) Do(name string, l topology.Line, fn func(release func())) {
 	c := q.get()
-	c.l, c.fn = l, fn
+	c.name, c.l, c.fn = name, l, fn
 	q.eng.ScheduleFn(q.lat, runSeqCall, c, 0)
 }
 
@@ -68,6 +74,9 @@ func (q *Sequencer) get() *seqCall {
 	}
 	c := &seqCall{q: q}
 	c.release = func() {
+		if q.Trace != nil {
+			q.Trace.End(c.span)
+		}
 		// Recycle before waking waiters: a waiter may re-enter Do (which
 		// may pop this very record and overwrite c.l), so copy the line
 		// out first. LIFO reuse keeps the allocation pattern deterministic.
@@ -87,16 +96,19 @@ func runSeqCall(arg any, _ uint64) {
 	c := arg.(*seqCall)
 	q := c.q
 	if q.mshr.Busy(c.l) {
-		l, fn := c.l, c.fn
+		name, l, fn := c.name, c.l, c.fn
 		c.fn = nil
 		q.free = append(q.free, c)
 		if q.Trace != nil {
-			q.Trace.Point(q.Comp, q.Socket, "defer", uint64(l))
+			q.Trace.Point(q.comp, q.socket, "defer", uint64(l))
 		}
-		q.mshr.Defer(l, func() { q.Do(l, fn) })
+		q.mshr.Defer(l, func() { q.Do(name, l, fn) })
 		return
 	}
 	q.mshr.Allocate(c.l)
+	if q.Trace != nil {
+		c.span = q.Trace.Begin(q.comp, q.socket, c.name, uint64(c.l))
+	}
 	fn := c.fn
 	c.fn = nil
 	fn(c.release)

@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dve/internal/sim"
+	"dve/internal/telemetry"
 	"dve/internal/topology"
 )
 
@@ -13,18 +16,18 @@ import (
 // order, other lines proceed, and release wakes the deferred waiter.
 func TestSequencerSerializesPerLine(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewSequencer(eng, 5, NewMSHR(0))
+	q := NewSequencer(eng, 5, telemetry.CompHomeDir, 0)
 	la, lb := topology.Line(64), topology.Line(128)
 	var order []int
-	q.Do(la, func(release func()) {
+	q.Do("txn", la, func(release func()) {
 		order = append(order, 0)
 		eng.Schedule(50, release) // hold the line
 	})
-	q.Do(la, func(release func()) {
+	q.Do("txn", la, func(release func()) {
 		order = append(order, 1)
 		release()
 	})
-	q.Do(lb, func(release func()) {
+	q.Do("txn", lb, func(release func()) {
 		order = append(order, 2)
 		release()
 	})
@@ -47,12 +50,12 @@ func TestSequencerSerializesPerLine(t *testing.T) {
 // transaction on the same line: it must run after this one releases.
 func TestSequencerReentrantDo(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewSequencer(eng, 5, NewMSHR(0))
+	q := NewSequencer(eng, 5, telemetry.CompHomeDir, 0)
 	l := topology.Line(64)
 	var order []int
-	q.Do(l, func(release func()) {
+	q.Do("txn", l, func(release func()) {
 		order = append(order, 0)
-		q.Do(l, func(release2 func()) {
+		q.Do("txn", l, func(release2 func()) {
 			order = append(order, 1)
 			release2()
 		})
@@ -71,7 +74,7 @@ func TestSequencerReentrantDo(t *testing.T) {
 // never an allocation.
 func TestSequencerSteadyStateAllocs(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewSequencer(eng, 3, NewMSHR(0))
+	q := NewSequencer(eng, 3, telemetry.CompHomeDir, 0)
 	if q.Trace != nil {
 		t.Fatal("fresh sequencer has a tracer attached")
 	}
@@ -82,7 +85,7 @@ func TestSequencerSteadyStateAllocs(t *testing.T) {
 	nop := func() {}
 	batch := func() {
 		for i := 0; i < 256; i++ {
-			q.Do(topology.Line(uint64(i)*64), body)
+			q.Do("txn", topology.Line(uint64(i)*64), body)
 		}
 		eng.Schedule(1<<16, nop)
 		eng.Run()
@@ -97,7 +100,7 @@ func TestSequencerSteadyStateAllocs(t *testing.T) {
 // Do -> latency -> body -> release.
 func BenchmarkSequencer(b *testing.B) {
 	eng := sim.NewEngine()
-	q := NewSequencer(eng, 3, NewMSHR(0))
+	q := NewSequencer(eng, 3, telemetry.CompHomeDir, 0)
 	body := func(release func()) { release() }
 	nop := func() {}
 	b.ReportAllocs()
@@ -109,7 +112,7 @@ func BenchmarkSequencer(b *testing.B) {
 			k = b.N - n
 		}
 		for i := 0; i < k; i++ {
-			q.Do(topology.Line(uint64(i)*64), body)
+			q.Do("txn", topology.Line(uint64(i)*64), body)
 		}
 		eng.Schedule(1<<16, nop) // ring-aligned batches, as in the alloc test
 		eng.Run()
@@ -123,15 +126,15 @@ func BenchmarkSequencer(b *testing.B) {
 // lines come and go in the same MSHR.
 func TestSequencerContendedFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewSequencer(eng, 5, NewMSHR(0))
+	q := NewSequencer(eng, 5, telemetry.CompHomeDir, 0)
 	l := topology.Line(64)
 	var order []int
 	for i := 0; i < 6; i++ {
 		i := i
-		q.Do(l, func(release func()) {
+		q.Do("txn", l, func(release func()) {
 			order = append(order, i)
 			// Churn another line while this one is held.
-			q.Do(l+topology.Line(64*(i+1)), func(r func()) { r() })
+			q.Do("txn", l+topology.Line(64*(i+1)), func(r func()) { r() })
 			eng.Schedule(sim.Cycle(3+i%3), release)
 		})
 	}
@@ -141,5 +144,65 @@ func TestSequencerContendedFIFO(t *testing.T) {
 	}
 	if q.MSHR().Inflight() != 0 {
 		t.Fatalf("%d lines still in flight after all releases", q.MSHR().Inflight())
+	}
+}
+
+// TestSequencerTracedSpans pins the span the sequencer owns: with a tracer
+// attached, a transaction's B is emitted once the line is held and its E at
+// release, before the deferred waiters wake, both on the sequencer's (comp,
+// socket) track; a contended dispatch emits a "defer" instant there.
+func TestSequencerTracedSpans(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := telemetry.NewTracer(telemetry.Options{TraceEvents: true})
+	tr.Attach(eng)
+	q := NewSequencer(eng, 5, telemetry.CompReplicaDir, 1)
+	q.Trace = tr
+	l := topology.Line(64)
+	eventsAtWake := -1
+	q.Do("GETS", l, func(release func()) {
+		q.MSHR().Defer(l, func() { eventsAtWake = tr.Events() })
+		eng.Schedule(50, release) // hold the line
+	})
+	q.Do("GETX", l, func(release func()) { release() })
+	eng.Run()
+
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := telemetry.ParseTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateTrace(evs); err != nil {
+		t.Fatal(err)
+	}
+	threads := map[[2]int]string{}
+	var got []string
+	for _, ev := range evs {
+		if ev.Ph == "M" {
+			if ev.Name == "thread_name" {
+				threads[[2]int{ev.Pid, ev.Tid}], _ = ev.Args["name"].(string)
+			}
+			continue
+		}
+		track := threads[[2]int{ev.Pid, ev.Tid}]
+		if i := strings.IndexByte(track, '/'); i >= 0 && track[i+1:] != "instant" {
+			track = track[:i] + "/lane"
+		}
+		got = append(got, fmt.Sprintf("%s %s@%d pid%d %s", ev.Ph, ev.Name, ev.Ts, ev.Pid, track))
+	}
+	want := []string{
+		"B GETS@5 pid1 replicadir/lane",
+		"i defer@5 pid1 replicadir/instant",
+		"E GETS@55 pid1 replicadir/lane",
+		"B GETX@60 pid1 replicadir/lane",
+		"E GETX@60 pid1 replicadir/lane",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trace events:\n got %q\nwant %q", got, want)
+	}
+	if eventsAtWake != 3 {
+		t.Fatalf("waiters woke after %d events, want 3 (the GETS span must end before its waiters run)", eventsAtWake)
 	}
 }

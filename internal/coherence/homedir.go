@@ -41,7 +41,7 @@ type HomeDir struct {
 	lineOrder []topology.Line
 	entries   cache.LineIndex[topology.Line]
 	slabs     [][]dirEntry
-	seqq      *cache.Sequencer
+	sequencer *cache.Sequencer
 
 	// degraded marks lines whose home copy suffered a hard fault; their
 	// reads are funneled to the replica ("the system is placed in a degraded
@@ -74,7 +74,7 @@ func newHomeDir(s *System, socket int) *HomeDir {
 		sys:         s,
 		socket:      socket,
 		entries:     cache.NewLineIndex[topology.Line](0),
-		seqq:        cache.NewSequencer(s.Engs[socket], sim.Cycle(s.Cfg.DirLatencyCyc), cache.NewMSHR(0)),
+		sequencer:   cache.NewSequencer(s.Engs[socket], sim.Cycle(s.Cfg.DirLatencyCyc), telemetry.CompHomeDir, socket),
 		degraded:    make(map[topology.Line]bool, hint/64),
 		repairFails: make(map[topology.Line]int, hint/64),
 	}
@@ -122,35 +122,6 @@ func (d *HomeDir) HasLine(l topology.Line) bool {
 	return d.entries.Find(d.lineOrder, l) >= 0
 }
 
-func (d *HomeDir) dbg(l topology.Line, format string, args ...any) {
-	if d.sys.DebugLog != nil && l == d.sys.DebugLine {
-		d.sys.DebugLog("[%d] dir%d "+format, append([]any{d.sys.Engs[d.socket].Now(), d.socket}, args...)...)
-	}
-}
-
-// seq serializes a transaction on a line: it pays the directory access
-// latency, waits for any in-flight transaction on the line, and passes a
-// release function that must be called exactly once when the transaction
-// completes. The dispatch itself is pooled and allocation-free
-// (cache.Sequencer); only the transaction body closure remains per-call.
-func (d *HomeDir) seq(name string, l topology.Line, fn func(release func())) {
-	tr := d.sys.Trace
-	if tr == nil {
-		d.seqq.Do(l, fn)
-		return
-	}
-	// Span the whole serialized transaction: Begin once the line is held,
-	// End when the body releases it. The wrapper only adds observation —
-	// scheduling and release order are untouched (no-perturbation rule).
-	d.seqq.Do(l, func(release func()) {
-		sp := tr.Begin(telemetry.CompHomeDir, d.socket, name, uint64(l))
-		fn(func() {
-			tr.End(sp)
-			release()
-		})
-	})
-}
-
 // classify records the Fig 7 sharing-pattern class of a request.
 func (d *HomeDir) classify(write bool, st cache.State) {
 	if !d.sys.Classify {
@@ -192,7 +163,7 @@ func (d *HomeDir) readHomeMem(l topology.Line, cb func()) {
 		d.readFromReplicaMem(l, func(ok bool) {
 			if !ok {
 				cnt.DetectedUncorrect++
-				d.sys.rasEvent(EvDUE, d.socket, l)
+				d.sys.ReportRAS(EvDUE, d.socket, l)
 			}
 			cb()
 		})
@@ -203,7 +174,7 @@ func (d *HomeDir) readHomeMem(l topology.Line, cb func()) {
 			cb()
 			return
 		}
-		d.sys.rasEvent(EvDetect, d.socket, l)
+		d.sys.ReportRAS(EvDetect, d.socket, l)
 		d.retryRead(l, 0, retryBackoffCyc, cb)
 	})
 }
@@ -218,12 +189,12 @@ func (d *HomeDir) retryRead(l topology.Line, attempt int, backoff sim.Cycle, cb 
 		return
 	}
 	cnt.RetriedReads++
-	d.sys.rasEvent(EvRetry, d.socket, l)
+	d.sys.ReportRAS(EvRetry, d.socket, l)
 	d.sys.Engs[d.socket].Schedule(backoff, func() {
 		d.sys.MCs[d.socket].Read(topology.Addr(l), func(failed bool) {
 			if !failed {
 				cnt.RetrySuccesses++
-				d.sys.rasEvent(EvRetryOK, d.socket, l)
+				d.sys.ReportRAS(EvRetryOK, d.socket, l)
 				cb()
 				return
 			}
@@ -240,7 +211,7 @@ func (d *HomeDir) recoverViaReplica(l topology.Line, cb func()) {
 	if !d.sys.HasReplica(l) {
 		// No second basket: detected but uncorrectable.
 		cnt.DetectedUncorrect++
-		d.sys.rasEvent(EvDUE, d.socket, l)
+		d.sys.ReportRAS(EvDUE, d.socket, l)
 		cb()
 		return
 	}
@@ -248,13 +219,13 @@ func (d *HomeDir) recoverViaReplica(l topology.Line, cb func()) {
 		if !ok {
 			// Both copies failed: data lost, machine check (DUE).
 			cnt.DetectedUncorrect++
-			d.sys.rasEvent(EvDUE, d.socket, l)
+			d.sys.ReportRAS(EvDUE, d.socket, l)
 			cb()
 			return
 		}
 		cnt.CorrectedErrors++
 		cnt.Recoveries++
-		d.sys.rasEvent(EvRecover, d.socket, l)
+		d.sys.ReportRAS(EvRecover, d.socket, l)
 		d.repairHome(l)
 		cb()
 	})
@@ -269,18 +240,18 @@ func (d *HomeDir) repairHome(l topology.Line) {
 	a := topology.Addr(l)
 	cnt := d.sys.Cnts[d.socket]
 	cnt.RepairWrites++
-	d.sys.rasEvent(EvRepair, d.socket, l)
+	d.sys.ReportRAS(EvRepair, d.socket, l)
 	d.sys.MCs[d.socket].Write(a, func() {
 		// The write lands known-good data: transient faults clear.
-		d.sys.repairAt(d.socket, a)
+		d.sys.ReportRepair(d.socket, a)
 		d.sys.MCs[d.socket].Read(a, func(stillBad bool) {
 			if !stillBad {
-				d.sys.rasEvent(EvRepairOK, d.socket, l)
+				d.sys.ReportRAS(EvRepairOK, d.socket, l)
 				delete(d.repairFails, l)
 				return
 			}
 			cnt.RepairVerifyFails++
-			d.sys.rasEvent(EvRepairFail, d.socket, l)
+			d.sys.ReportRAS(EvRepairFail, d.socket, l)
 			d.repairFails[l]++
 			if d.repairFails[l] < retireAfterRepairFails {
 				return
@@ -289,12 +260,12 @@ func (d *HomeDir) repairHome(l topology.Line) {
 			// line from the replica from now on.
 			if d.sys.RetireFn != nil && d.sys.RetireFn(l) {
 				cnt.PagesRetired++
-				d.sys.rasEvent(EvRetire, d.socket, l)
+				d.sys.ReportRAS(EvRetire, d.socket, l)
 			}
 			if !d.degraded[l] {
 				d.degraded[l] = true
 				cnt.DegradedLines++
-				d.sys.rasEvent(EvDegraded, d.socket, l)
+				d.sys.ReportRAS(EvDegraded, d.socket, l)
 			}
 		})
 	})
@@ -331,7 +302,7 @@ func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 	d.sys.Cnts[d.socket].DualWritebacks++
 	r := d.remoteSocket()
 	d.sys.MCs[d.socket].Write(topology.Addr(l), done)
-	d.sys.repairAt(d.socket, topology.Addr(l))
+	d.sys.ReportRepair(d.socket, topology.Addr(l))
 	d.sys.Link.Send(d.socket, noc.DataBytes, func() {
 		if undeny {
 			if a := d.replicaAgent(); a != nil {
@@ -339,7 +310,7 @@ func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 			}
 		}
 		d.sys.MCs[r].Write(ra, func() {})
-		d.sys.repairAt(r, ra)
+		d.sys.ReportRepair(r, ra)
 	})
 }
 
@@ -350,9 +321,8 @@ func (d *HomeDir) probeLat() sim.Cycle { return sim.Cycle(d.sys.Cfg.LLCLatencyCy
 // remote LLC in the baseline — replica-side requests in Dvé come through
 // ReplicaGETS). reply runs at the requester when data is available there.
 func (d *HomeDir) GETS(src int, l topology.Line, reply func()) {
-	d.seq("GETS", l, func(release func()) {
+	d.sequencer.Do("GETS", l, func(release func()) {
 		e := d.entry(l)
-		d.dbg(l, "GETS src=%d state=%v owner=%d sharers=%v", src, e.state, e.owner, e.sharers)
 		d.classify(false, e.state)
 		deliver := func() {
 			if src == d.socket {
@@ -431,9 +401,8 @@ func (d *HomeDir) GETS(src int, l topology.Line, reply func()) {
 // GETX handles a write (exclusive) request from an LLC. reply runs at the
 // requester when write permission (and data, if needData) is there.
 func (d *HomeDir) GETX(src int, l topology.Line, needData bool, reply func()) {
-	d.seq("GETX", l, func(release func()) {
+	d.sequencer.Do("GETX", l, func(release func()) {
 		e := d.entry(l)
-		d.dbg(l, "GETX src=%d needData=%v state=%v owner=%d sharers=%v", src, needData, e.state, e.owner, e.sharers)
 		d.classify(true, e.state)
 		agent := d.replicaAgent()
 		denyPush := false
@@ -595,9 +564,8 @@ func (d *HomeDir) denyModeActive() bool {
 // protocol the replica directory's RM entry is cleared once the replica
 // write is on its way (Section V-C2).
 func (d *HomeDir) PUTM(src int, l topology.Line, done func()) {
-	d.seq("PUTM", l, func(release func()) {
+	d.sequencer.Do("PUTM", l, func(release func()) {
 		e := d.entry(l)
-		d.dbg(l, "PUTM src=%d state=%v owner=%d", src, e.state, e.owner)
 		if int(e.owner) != src {
 			// Ownership already migrated (race with a fetch): drop.
 			release()
@@ -678,10 +646,9 @@ func (d *HomeDir) LinesOwnedBy(socket int) []topology.Line {
 // back at the replica directory; dataShipped=false means only a control
 // grant crossed the link and the replica memory holds current data.
 func (d *HomeDir) ReplicaGETS(l topology.Line, reply func(dataShipped bool)) {
-	d.seq("ReplicaGETS", l, func(release func()) {
+	d.sequencer.Do("ReplicaGETS", l, func(release func()) {
 		e := d.entry(l)
 		r := d.remoteSocket()
-		d.dbg(l, "ReplicaGETS state=%v owner=%d sharers=%v", e.state, e.owner, e.sharers)
 		switch {
 		case e.state == cache.Invalid || e.state == cache.Shared,
 			int(e.owner) == r:
@@ -713,10 +680,9 @@ func (d *HomeDir) ReplicaGETS(l topology.Line, reply func(dataShipped bool)) {
 // directory. On a control-only grant the replica directory supplies data
 // from the local replica memory.
 func (d *HomeDir) ReplicaGETX(l topology.Line, reply func(dataShipped bool)) {
-	d.seq("ReplicaGETX", l, func(release func()) {
+	d.sequencer.Do("ReplicaGETX", l, func(release func()) {
 		e := d.entry(l)
 		r := d.remoteSocket()
-		d.dbg(l, "ReplicaGETX state=%v owner=%d sharers=%v", e.state, e.owner, e.sharers)
 		grant := func() {
 			e.state = cache.Modified
 			e.owner = int8(r)
@@ -754,10 +720,9 @@ func (d *HomeDir) ReplicaGETX(l topology.Line, reply func(dataShipped bool)) {
 // already arrived at home (and the replica memory was written by the replica
 // directory); write the home copy and clear ownership. done runs at home.
 func (d *HomeDir) ReplicaPUTM(l topology.Line, done func()) {
-	d.seq("ReplicaPUTM", l, func(release func()) {
+	d.sequencer.Do("ReplicaPUTM", l, func(release func()) {
 		e := d.entry(l)
 		r := d.remoteSocket()
-		d.dbg(l, "ReplicaPUTM state=%v owner=%d", e.state, e.owner)
 		if int(e.owner) == r {
 			e.state = cache.Invalid
 			e.owner = -1

@@ -24,7 +24,7 @@ func newLLC(s *System, socket int) *LLC {
 		sys:    s,
 		socket: socket,
 		store:  cache.New(s.Cfg.LLCSizeBytes, s.Cfg.LLCWays, s.Cfg.LineSizeBytes),
-		mshr:   cache.NewMSHR(0),
+		mshr:   cache.NewMSHR(),
 	}
 }
 
@@ -139,9 +139,6 @@ func (c *LLC) noteL1Fill(core int, l topology.Line, write bool) {
 
 // fill installs a granted line, evicting and writing back a victim if needed.
 func (c *LLC) fill(core int, write bool, l topology.Line) {
-	if c.sys.DebugLog != nil && l == c.sys.DebugLine {
-		c.sys.DebugLog("[%d] llc%d fill write=%v", c.sys.Engs[c.socket].Now(), c.socket, write)
-	}
 	st := cache.Shared
 	if write {
 		st = cache.Modified
@@ -182,9 +179,6 @@ func (c *LLC) evict(victim cache.Entry) {
 // change immediately and reports whether the copy was dirty. Absent lines
 // report clean (e.g. a writeback already in flight).
 func (c *LLC) Probe(l topology.Line, invalidate bool) (dirty bool) {
-	if c.sys.DebugLog != nil && l == c.sys.DebugLine {
-		c.sys.DebugLog("[%d] llc%d probe inv=%v has=%v", c.sys.Engs[c.socket].Now(), c.socket, invalidate, c.store.Peek(l) != nil)
-	}
 	e := c.store.Peek(l)
 	if e == nil {
 		return false

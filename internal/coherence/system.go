@@ -97,11 +97,6 @@ type System struct {
 	// into the run-level view.
 	Cnts []*stats.Counters
 
-	// DebugLine/DebugLog: when set, protocol steps touching DebugLine are
-	// reported (test diagnostics only).
-	DebugLine topology.Line
-	DebugLog  func(format string, args ...any)
-
 	// Classify enables Fig 7 sharing-pattern classification at the home
 	// directories.
 	Classify bool
@@ -170,9 +165,10 @@ const (
 	EvDrained    = "drained"     // dead socket's replica directory drained
 )
 
-// rasEvent reports a recovery-path step to the attached observer, if any,
-// and mirrors it into the telemetry timeline/flight recorder.
-func (s *System) rasEvent(kind string, socket int, l topology.Line) {
+// ReportRAS reports a recovery-path step to the attached observer, if any,
+// and mirrors it into the telemetry timeline/flight recorder. The home
+// directories and the Dvé replica directories report through it.
+func (s *System) ReportRAS(kind string, socket int, l topology.Line) {
 	if s.RASEvent != nil {
 		s.RASEvent(kind, socket, l)
 	}
@@ -181,23 +177,12 @@ func (s *System) rasEvent(kind string, socket int, l topology.Line) {
 	}
 }
 
-// repairAt notifies the fault model that known-good data was written over
-// the address (clearing transient faults).
-func (s *System) repairAt(socket int, a topology.Addr) {
+// ReportRepair notifies the fault model that known-good data was written
+// over the address (clearing transient faults).
+func (s *System) ReportRepair(socket int, a topology.Addr) {
 	if s.RepairFn != nil {
 		s.RepairFn(socket, a)
 	}
-}
-
-// RASNote is rasEvent for sibling packages: the Dvé replica directory
-// reports its own recovery-path steps through it.
-func (s *System) RASNote(kind string, socket int, l topology.Line) {
-	s.rasEvent(kind, socket, l)
-}
-
-// RepairNote is repairAt for sibling packages.
-func (s *System) RepairNote(socket int, a topology.Addr) {
-	s.repairAt(socket, a)
 }
 
 // NewPartitioned builds a system whose sockets run on the partitions of
@@ -277,9 +262,7 @@ func (s *System) SetTracer(t *telemetry.Tracer) {
 	s.Link.Trace = t
 	for sk, mc := range s.MCs {
 		mc.Trace = t
-		s.Dirs[sk].seqq.Trace = t
-		s.Dirs[sk].seqq.Comp = telemetry.CompHomeDir
-		s.Dirs[sk].seqq.Socket = sk
+		s.Dirs[sk].sequencer.Trace = t
 	}
 }
 
@@ -334,7 +317,7 @@ func (s *System) KillSocketMemory(socket int, done func()) {
 	}
 	s.MCs[socket].Kill()
 	s.Cnts[socket].SocketKills++
-	s.rasEvent(EvSocketKill, socket, 0)
+	s.ReportRAS(EvSocketKill, socket, 0)
 
 	// Count the demotions before flipping the flag so RawReplicaAddr and
 	// the pre-kill mapping agree.
@@ -350,12 +333,12 @@ func (s *System) KillSocketMemory(socket int, done func()) {
 	s.anyDead = true
 	if demoted > 0 {
 		s.Cnts[socket].DemotedLines += demoted
-		s.rasEvent(EvDemote, socket, 0)
+		s.ReportRAS(EvDemote, socket, 0)
 	}
 
 	if a := s.Replicas[socket]; a != nil {
 		a.Drain(func() {
-			s.rasEvent(EvDrained, socket, 0)
+			s.ReportRAS(EvDrained, socket, 0)
 			if done != nil {
 				done()
 			}

@@ -62,16 +62,18 @@ type ReplicaDir struct {
 	// capacity-bounded store.
 	owners cache.LineTable[topology.Line, struct{}]
 
-	seqq *cache.Sequencer
+	// sequencer serializes transactions per line at the directory access
+	// latency (the same as the home directory's, Section VI).
+	sequencer *cache.Sequencer
 
 	// fillPending tracks lines with a granted-but-unfilled local demand
 	// transaction (the grant may still be reading the replica DRAM). Home
 	// probes for such lines are deferred until the fill lands — the
 	// simulator's equivalent of the ordered RD->LLC channel that makes this
-	// race benign in the verified model. Writebacks (LocalPUTM) do not set
-	// it: deferring probes across a writeback would deadlock with the home
-	// MSHR, and the LLC answers probes correctly during one.
-	fillPending cache.LineTable[topology.Line, []func()]
+	// race benign in the verified model. Writebacks (LocalPUTM) do not
+	// allocate it: deferring probes across a writeback would deadlock with
+	// the home MSHR, and the LLC answers probes correctly during one.
+	fillPending *cache.MSHR
 
 	// dirFetchLat is the cost of fetching a directory entry from DRAM on a
 	// store miss under the deny protocol.
@@ -92,18 +94,14 @@ func New(sys *coherence.System, socket int, mode Mode) *ReplicaDir {
 		backing:     cache.NewLineTable[topology.Line, cache.State](0),
 		regions:     make(map[uint64]bool),
 		owners:      cache.NewLineTable[topology.Line, struct{}](0),
-		fillPending: cache.NewLineTable[topology.Line, []func()](0),
-		seqq: cache.NewSequencer(sys.Engs[socket], sim.Cycle(cfg.DirLatencyCyc),
-			cache.NewMSHR(0)),
+		fillPending: cache.NewMSHR(),
+		sequencer: cache.NewSequencer(sys.Engs[socket], sim.Cycle(cfg.DirLatencyCyc),
+			telemetry.CompReplicaDir, socket),
 		dirFetchLat: sim.Cycle(cfg.Cycles(cfg.TRCDns+cfg.TCLns)) +
 			10, // activate + CAS + burst for the in-memory directory line
 		oracular: cfg.Oracular,
 	}
-	if sys.Trace != nil {
-		rd.seqq.Trace = sys.Trace
-		rd.seqq.Comp = telemetry.CompReplicaDir
-		rd.seqq.Socket = socket
-	}
+	rd.sequencer.Trace = sys.Trace
 	sys.SetReplicaAgent(socket, rd)
 	return rd
 }
@@ -137,26 +135,6 @@ func (rd *ReplicaDir) regionOf(l topology.Line) uint64 {
 	return uint64(l) / uint64(rd.sys.Cfg.RegionBytes)
 }
 
-// seq serializes replica-directory transactions per line, paying the
-// directory access latency (same as the home directory, Section VI). The
-// dispatch is pooled and allocation-free (cache.Sequencer). With a tracer
-// attached, the serialized body becomes a span on this socket's
-// replica-directory track (observation only — the no-perturbation rule).
-func (rd *ReplicaDir) seq(name string, l topology.Line, fn func(release func())) {
-	tr := rd.sys.Trace
-	if tr == nil {
-		rd.seqq.Do(l, fn)
-		return
-	}
-	rd.seqq.Do(l, func(release func()) {
-		sp := tr.Begin(telemetry.CompReplicaDir, rd.socket, name, uint64(l))
-		fn(func() {
-			tr.End(sp)
-			release()
-		})
-	})
-}
-
 // readReplicaMem reads the line's replica from this socket's local memory,
 // recovering via the home copy if the local ECC check fails.
 func (rd *ReplicaDir) readReplicaMem(l topology.Line, cb func()) {
@@ -167,7 +145,7 @@ func (rd *ReplicaDir) readReplicaMem(l topology.Line, cb func()) {
 			cb()
 			return
 		}
-		rd.sys.RASNote(coherence.EvDetect, rd.socket, l)
+		rd.sys.ReportRAS(coherence.EvDetect, rd.socket, l)
 		// Divert to the home memory controller (Section V-B2).
 		home := (rd.socket + 1) % rd.sys.Cfg.Sockets
 		rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
@@ -175,16 +153,16 @@ func (rd *ReplicaDir) readReplicaMem(l topology.Line, cb func()) {
 				rd.sys.Link.Send(home, noc.DataBytes, func() {
 					if failed2 {
 						cnt.DetectedUncorrect++
-						rd.sys.RASNote(coherence.EvDUE, rd.socket, l)
+						rd.sys.ReportRAS(coherence.EvDUE, rd.socket, l)
 					} else {
 						cnt.CorrectedErrors++
 						cnt.Recoveries++
-						rd.sys.RASNote(coherence.EvRecover, rd.socket, l)
+						rd.sys.ReportRAS(coherence.EvRecover, rd.socket, l)
 						// Try to repair the replica copy.
 						cnt.RepairWrites++
-						rd.sys.RASNote(coherence.EvRepair, rd.socket, l)
+						rd.sys.ReportRAS(coherence.EvRepair, rd.socket, l)
 						rd.sys.MCs[rd.socket].Write(ra, func() {})
-						rd.sys.RepairNote(rd.socket, ra)
+						rd.sys.ReportRepair(rd.socket, ra)
 					}
 					cb()
 				})
@@ -196,7 +174,7 @@ func (rd *ReplicaDir) readReplicaMem(l topology.Line, cb func()) {
 // LocalGETS implements coherence.ReplicaAgent. done(fromReplica) runs when
 // data is available at this socket's LLC.
 func (rd *ReplicaDir) LocalGETS(l topology.Line, needData bool, done func(fromReplica bool)) {
-	rd.seq("LocalGETS", l, func(release func()) {
+	rd.sequencer.Do("LocalGETS", l, func(release func()) {
 		fin := func(fromReplica bool) {
 			if tr := rd.sys.Trace; tr != nil {
 				if fromReplica {
@@ -230,13 +208,13 @@ func (rd *ReplicaDir) allowGETS(l topology.Line, fin func(bool)) {
 		// Mark the fill in flight so home probes defer behind it; this
 		// transaction completes without home involvement, so the deferral
 		// cannot deadlock against the home MSHR.
-		rd.fillPending.Set(l, nil)
+		rd.fillPending.Allocate(l)
 		rd.readReplicaMem(l, func() { fin(true) })
 		return
 	}
 	if rd.sys.Cfg.CoarseGrain && rd.regions[rd.regionOf(l)] {
 		cnt.ReplicaDirHits++
-		rd.fillPending.Set(l, nil)
+		rd.fillPending.Allocate(l)
 		rd.readReplicaMem(l, func() { fin(true) })
 		return
 	}
@@ -279,7 +257,7 @@ func (rd *ReplicaDir) allowLineMiss(l topology.Line, fin func(bool)) {
 		rd.home().ReplicaGETS(l, func(dataShipped bool) {
 			// Grant received: home has serialized us; probes sent by later
 			// home transactions must now wait for our fill.
-			rd.fillPending.Set(l, nil)
+			rd.fillPending.Allocate(l)
 			rd.insertEntry(l, cache.Shared)
 			if dataShipped {
 				// Home LLC was dirty: the shipped data is also the replica
@@ -316,7 +294,7 @@ func (rd *ReplicaDir) allowRegionMiss(l topology.Line, fin func(bool)) {
 		rd.sys.Link.Send((rd.socket+1)%rd.sys.Cfg.Sockets, noc.CtrlBytes, func() {
 			if granted {
 				rd.regions[region] = true
-				rd.fillPending.Set(l, nil)
+				rd.fillPending.Allocate(l)
 				rd.readReplicaMem(l, func() { fin(true) })
 				return
 			}
@@ -370,7 +348,7 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 			}
 			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 				rd.home().ReplicaGETS(l, func(dataShipped bool) {
-					rd.fillPending.Set(l, nil)
+					rd.fillPending.Allocate(l)
 					rd.backing.Set(l, cache.Shared)
 					rd.insertEntry(l, cache.Shared)
 					if dataShipped {
@@ -384,7 +362,7 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		// Absence (or S/M): the replica is current — read it locally with
 		// no link traffic at all. Home probes defer behind the in-flight
 		// fill (no home transaction involved: deadlock-free).
-		rd.fillPending.Set(l, nil)
+		rd.fillPending.Allocate(l)
 		rd.backing.Set(l, cache.Shared)
 		if spec {
 			if join.specDone {
@@ -410,7 +388,7 @@ func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
 		cnt.ReplicaDirMisses++
 		rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 			rd.home().ReplicaGETS(l, func(dataShipped bool) {
-				rd.fillPending.Set(l, nil)
+				rd.fillPending.Allocate(l)
 				if dataShipped {
 					rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
 				}
@@ -421,7 +399,7 @@ func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
 	}
 	cnt.ReplicaDirHits++
 	rd.home().OracleAddSharer(l, rd.socket)
-	rd.fillPending.Set(l, nil)
+	rd.fillPending.Allocate(l)
 	rd.readReplicaMem(l, func() { fin(true) })
 }
 
@@ -429,7 +407,7 @@ func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
 // serializes at the home directory; when the home side holds no dirty copy
 // the grant is control-only and data comes from the local replica.
 func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
-	rd.seq("LocalGETX", l, func(release func()) {
+	rd.sequencer.Do("LocalGETX", l, func(release func()) {
 		fin := func() {
 			done()
 			rd.fillDone(l)
@@ -444,7 +422,7 @@ func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
 		rd.sys.Engs[rd.socket].Schedule(entryLat, func() {
 			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 				rd.home().ReplicaGETX(l, func(dataShipped bool) {
-					rd.fillPending.Set(l, nil)
+					rd.fillPending.Allocate(l)
 					rd.recordOwnership(l)
 					if dataShipped || !needData {
 						fin()
@@ -480,7 +458,7 @@ func (rd *ReplicaDir) insertEntry(l topology.Line, st cache.State) {
 // socket's LLC updates the replica locally and ships the data home so both
 // copies are written synchronously (Section V-B1).
 func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
-	rd.seq("LocalPUTM", l, func(release func()) {
+	rd.sequencer.Do("LocalPUTM", l, func(release func()) {
 		if rd.owners.Get(l) == nil {
 			// Ownership was fetched away while this writeback was queued:
 			// the fetch already carried the data home. Applying the stale
@@ -502,7 +480,7 @@ func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 		}
 		ra := rd.replicaAddr(l)
 		rd.sys.MCs[rd.socket].Write(ra, part)
-		rd.sys.RepairNote(rd.socket, ra)
+		rd.sys.ReportRepair(rd.socket, ra)
 		rd.sys.Link.Send(rd.socket, noc.DataBytes, func() {
 			rd.home().ReplicaPUTM(l, func() {
 				rd.sys.Link.Send((rd.socket+1)%rd.sys.Cfg.Sockets, noc.CtrlBytes, part)
@@ -518,8 +496,7 @@ func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 
 // fillDone completes a demand fill: deferred home probes now run, in order.
 func (rd *ReplicaDir) fillDone(l topology.Line) {
-	waiters, _ := rd.fillPending.Delete(l)
-	for _, w := range waiters {
+	for _, w := range rd.fillPending.Release(l) {
 		w()
 	}
 }
@@ -527,11 +504,11 @@ func (rd *ReplicaDir) fillDone(l topology.Line) {
 // deferToFill queues fn behind an in-flight demand fill for the line; it
 // reports whether a fill was pending.
 func (rd *ReplicaDir) deferToFill(l topology.Line, fn func()) bool {
-	if w := rd.fillPending.Get(l); w != nil {
-		*w = append(*w, fn)
-		return true
+	if !rd.fillPending.Busy(l) {
+		return false
 	}
-	return false
+	rd.fillPending.Defer(l, fn)
+	return true
 }
 
 // HomeInvalidate implements coherence.ReplicaAgent: the home side is taking

@@ -3,17 +3,25 @@ package dve
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dve/internal/telemetry"
 	"dve/internal/topology"
 )
 
-// runTraced runs a small workload with an optional tracer attached.
+// runTraced runs a small deny workload with an optional tracer attached.
 func runTraced(t *testing.T, tr *telemetry.Tracer) *Result {
 	t.Helper()
+	return runTracedProto(t, topology.ProtoDeny, tr)
+}
+
+// runTracedProto runs a small fft workload under protocol p with an
+// optional tracer attached.
+func runTracedProto(t *testing.T, p topology.Protocol, tr *telemetry.Tracer) *Result {
+	t.Helper()
 	rc := RunConfig{
-		Cfg:        topology.Default(topology.ProtoDeny),
+		Cfg:        topology.Default(p),
 		WarmupOps:  10_000,
 		MeasureOps: 30_000,
 		Telemetry:  tr,
@@ -101,6 +109,60 @@ func TestTracedRunEmitsValidTrace(t *testing.T) {
 	}
 	if tr.Dropped() > 0 {
 		t.Logf("note: %d events dropped (lane exhaustion)", tr.Dropped())
+	}
+}
+
+// TestDirectorySpansOnTheirTracks pins the spans cache.Sequencer opens for
+// both directory flavours: a traced deny run and a traced allow run each
+// carry matched GETS/GETX/PUTM spans on the home-directory tracks and
+// LocalGETS/LocalGETX spans on the replica-directory tracks, and the whole
+// trace validates.
+func TestDirectorySpansOnTheirTracks(t *testing.T) {
+	want := map[string][]string{
+		"homedir":    {"GETS", "GETX", "PUTM"},
+		"replicadir": {"LocalGETS", "LocalGETX"},
+	}
+	for _, p := range []topology.Protocol{topology.ProtoDeny, topology.ProtoAllow} {
+		t.Run(p.String(), func(t *testing.T) {
+			tr := telemetry.NewTracer(telemetry.Options{TraceEvents: true})
+			runTracedProto(t, p, tr)
+			var buf bytes.Buffer
+			if err := tr.WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			evs, err := telemetry.ParseTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := telemetry.ValidateTrace(evs); err != nil {
+				t.Fatal(err)
+			}
+			// Thread-name metadata names each (pid, tid) track
+			// "<component>/lane<n>"; count B and E per component and span.
+			comp := map[[2]int]string{}
+			begins, ends := map[string]int{}, map[string]int{}
+			for _, ev := range evs {
+				k := [2]int{ev.Pid, ev.Tid}
+				switch ev.Ph {
+				case "M":
+					if name, _ := ev.Args["name"].(string); ev.Name == "thread_name" {
+						comp[k], _, _ = strings.Cut(name, "/")
+					}
+				case "B":
+					begins[comp[k]+"/"+ev.Name]++
+				case "E":
+					ends[comp[k]+"/"+ev.Name]++
+				}
+			}
+			for c, names := range want {
+				for _, name := range names {
+					key := c + "/" + name
+					if begins[key] == 0 || begins[key] != ends[key] {
+						t.Errorf("%s spans: %d B, %d E; want a matched, nonzero count", key, begins[key], ends[key])
+					}
+				}
+			}
+		})
 	}
 }
 

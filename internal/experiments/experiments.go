@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"dve/internal/dve"
 	"dve/internal/energy"
@@ -65,25 +64,8 @@ type Runner struct {
 	// with the results of cells that had to run, so a repeated matrix is
 	// served from disk (see internal/results for the key scheme).
 	Cache *results.Store
-	// Retries re-runs a failed cell up to this many additional times before
-	// the failure is reported. The simulation itself is deterministic, so
-	// this only absorbs host-level failures (an evicted cache file, an I/O
-	// hiccup), not simulation bugs.
-	Retries int
-	// RetryBackoff is the base delay before re-running a failed cell,
-	// growing as full-jitter exponential backoff (uniform in
-	// [0, min(RetryBackoffMax, base·2^attempt)]): a transiently-broken
-	// cache dir or disk gets breathing room instead of an immediate
-	// hammering, and jitter decorrelates parallel cells that failed
-	// together. 0 means 100ms. Negative disables sleeping entirely.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the backoff. 0 means 5s.
-	RetryBackoffMax time.Duration
-	// Sleep is the retry sleep source; nil means time.Sleep. Tests inject a
-	// recorder so retry paths stay fast and deterministic.
-	Sleep func(time.Duration)
-	// Log, when set, receives cell-lifecycle events (cache hit/miss, retry,
-	// final failure) from the cached runner. The nil logger is fully
+	// Log, when set, receives cell-lifecycle events (cache hit/miss,
+	// failure) from the cached runner. The nil logger is fully
 	// disabled and costs one branch per site; events never influence the
 	// simulation, so logged and unlogged sweeps are byte-identical.
 	Log *obslog.Logger
@@ -117,16 +99,6 @@ func (r Runner) suite() ([]workload.Spec, error) {
 // Suite returns the full Table III benchmark set used by the experiments.
 func Suite() []workload.Spec { return workload.Suite(16) }
 
-// runOne simulates one workload under one configuration.
-func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool) (*dve.Result, error) {
-	return dve.Run(spec, dve.RunConfig{
-		Cfg:        cfg,
-		WarmupOps:  r.Scale.WarmupOps,
-		MeasureOps: r.Scale.MeasureOps,
-		Classify:   classify,
-	})
-}
-
 // CellKey returns the content address of one simulation cell at the
 // runner's scale: the hash of everything the result is a function of. The
 // worker count is not part of it: every dve.EngineMode runs the same
@@ -143,76 +115,32 @@ func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) 
 	}.Hash()
 }
 
-// retrySleep pauses before retry number attempt (0-based) with full-jitter
-// exponential backoff. The jitter source is a splitmix64 step seeded from
-// the workload seed and the attempt — deterministic for a given cell (the
-// determinism analyzer bans the global rand source in this package), yet
-// decorrelated across the cells of a parallel matrix.
-func (r Runner) retrySleep(spec workload.Spec, attempt int) {
-	base, max := r.RetryBackoff, r.RetryBackoffMax
-	if base < 0 {
-		return
+// runOne simulates one workload under one configuration and reports a
+// failure to the runner's log. key is the cell's content address for log
+// correlation ("" when the runner has no cache).
+func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool, key string) (*dve.Result, error) {
+	res, err := dve.Run(spec, dve.RunConfig{
+		Cfg:        cfg,
+		WarmupOps:  r.Scale.WarmupOps,
+		MeasureOps: r.Scale.MeasureOps,
+		Classify:   classify,
+	})
+	if err != nil && r.Log.On(obslog.Error) {
+		r.Log.Error("runner", "cell_failed", obslog.Event{
+			Key: key, Attempt: 1,
+			Detail: spec.Name + "/" + cfg.Protocol.String() + ": " + err.Error(),
+		})
 	}
-	if base == 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	cap := base << uint(attempt)
-	if cap > max || cap <= 0 {
-		cap = max
-	}
-	z := uint64(spec.Seed)*0x9e3779b97f4a7c15 + uint64(attempt+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	d := time.Duration(float64(z>>11) / float64(1<<53) * float64(cap))
-	sleep := r.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	sleep(d)
-}
-
-// runRetry is runOne with the runner's per-cell retry budget and
-// full-jitter backoff between attempts; on final failure every attempt's
-// error is reported. key is the cell's content address for log correlation
-// ("" when the runner has no cache).
-func (r Runner) runRetry(spec workload.Spec, cfg topology.Config, classify bool, key string) (*dve.Result, error) {
-	var errs []error
-	for attempt := 0; ; attempt++ {
-		res, err := r.runOne(spec, cfg, classify)
-		if err == nil {
-			return res, nil
-		}
-		errs = append(errs, fmt.Errorf("attempt %d: %w", attempt+1, err))
-		if attempt >= r.Retries {
-			if r.Log.On(obslog.Error) {
-				r.Log.Error("runner", "cell_failed", obslog.Event{
-					Key: key, Attempt: attempt + 1,
-					Detail: spec.Name + "/" + cfg.Protocol.String() + ": " + err.Error(),
-				})
-			}
-			return nil, errors.Join(errs...)
-		}
-		if r.Log.On(obslog.Warn) {
-			r.Log.Warn("runner", "cell_retry", obslog.Event{
-				Key: key, Attempt: attempt + 1,
-				Detail: spec.Name + "/" + cfg.Protocol.String() + ": " + err.Error(),
-			})
-		}
-		r.retrySleep(spec, attempt)
-	}
+	return res, err
 }
 
 // RunCell runs one cell through the cache: a valid cached result is
 // returned without simulating (hit = true); otherwise the cell is simulated
-// (with retries) and the result stored. With no cache configured it always
-// simulates. The sweep service and the figure matrices share this path.
+// and the result stored. With no cache configured it always simulates. The
+// sweep service and the figure matrices share this path.
 func (r Runner) RunCell(spec workload.Spec, cfg topology.Config, classify bool) (res *dve.Result, hit bool, err error) {
 	if r.Cache == nil {
-		res, err = r.runRetry(spec, cfg, classify, "")
+		res, err = r.runOne(spec, cfg, classify, "")
 		return res, false, err
 	}
 	key, err := r.CellKey(spec, cfg, classify)
@@ -233,7 +161,7 @@ func (r Runner) RunCell(spec workload.Spec, cfg topology.Config, classify bool) 
 			Key: string(key), Detail: spec.Name + "/" + cfg.Protocol.String(),
 		})
 	}
-	res, err = r.runRetry(spec, cfg, classify, string(key))
+	res, err = r.runOne(spec, cfg, classify, string(key))
 	if err != nil {
 		return nil, false, err
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"dve/internal/results"
 	"dve/internal/topology"
@@ -246,21 +245,6 @@ func TestRunMatrixAggregatesAllErrors(t *testing.T) {
 	}
 }
 
-func TestRunCellRetries(t *testing.T) {
-	bad, _ := workload.ByName("fft", 16)
-	bad.FootprintMB = 0
-	r := Runner{Scale: Scale{WarmupOps: 10, MeasureOps: 10}, Retries: 2}
-	_, _, err := r.RunCell(bad, topology.Default(topology.ProtoBaseline), false)
-	if err == nil {
-		t.Fatal("RunCell succeeded with a broken spec")
-	}
-	for _, want := range []string{"attempt 1:", "attempt 3:"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q missing %q", err, want)
-		}
-	}
-}
-
 func TestMatrixCacheRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation matrix")
@@ -337,77 +321,4 @@ func TestFaultCampaignUnknownWorkload(t *testing.T) {
 	if _, err := r.FaultCampaign("nosuch"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-}
-
-// TestRetryBackoffFullJitter pins the retry pacing contract: one sleep per
-// re-run, each bounded by the growing full-jitter cap, deterministic for a
-// given cell, and cheap to test because the sleep source is injectable.
-func TestRetryBackoffFullJitter(t *testing.T) {
-	bad, _ := workload.ByName("fft", 16)
-	bad.FootprintMB = 0 // broken spec: every attempt fails
-	r := Runner{
-		Scale:           Scale{WarmupOps: 10, MeasureOps: 10},
-		Retries:         3,
-		RetryBackoff:    100 * time.Millisecond,
-		RetryBackoffMax: 250 * time.Millisecond,
-	}
-	record := func(dst *[]time.Duration) func(time.Duration) {
-		return func(d time.Duration) { *dst = append(*dst, d) }
-	}
-	var sleeps []time.Duration
-	r.Sleep = record(&sleeps)
-	if _, _, err := r.RunCell(bad, topology.Default(topology.ProtoBaseline), false); err == nil {
-		t.Fatal("RunCell succeeded with a broken spec")
-	}
-	// 1 + Retries attempts, a sleep between each consecutive pair.
-	if len(sleeps) != r.Retries {
-		t.Fatalf("%d sleeps recorded, want %d", len(sleeps), r.Retries)
-	}
-	for i, d := range sleeps {
-		max := r.RetryBackoff << uint(i)
-		if max > r.RetryBackoffMax {
-			max = r.RetryBackoffMax
-		}
-		if d < 0 || d > max {
-			t.Fatalf("sleep %d = %v outside the full-jitter bound [0, %v]", i, d, max)
-		}
-	}
-
-	// Deterministic: the same cell backs off identically on a re-run (the
-	// jitter is seeded from the workload seed, not a global source).
-	var again []time.Duration
-	r.Sleep = record(&again)
-	r.RunCell(bad, topology.Default(topology.ProtoBaseline), false)
-	if len(again) != len(sleeps) {
-		t.Fatalf("re-run slept %d times, want %d", len(again), len(sleeps))
-	}
-	for i := range sleeps {
-		if sleeps[i] != again[i] {
-			t.Fatalf("sleep %d differs across runs: %v vs %v", i, sleeps[i], again[i])
-		}
-	}
-
-	// A different seed jitters differently (decorrelated cells).
-	other := bad
-	other.Seed = bad.Seed + 1
-	var otherSleeps []time.Duration
-	r.Sleep = record(&otherSleeps)
-	r.RunCell(other, topology.Default(topology.ProtoBaseline), false)
-	same := len(otherSleeps) == len(sleeps)
-	if same {
-		for i := range sleeps {
-			if sleeps[i] != otherSleeps[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same && len(sleeps) > 1 {
-		t.Fatal("different seeds produced identical backoff sequences")
-	}
-
-	// Negative base disables sleeping entirely.
-	r.RetryBackoff = -1
-	r.Sleep = func(time.Duration) { t.Fatal("sleep called with backoff disabled") }
-	r.RunCell(bad, topology.Default(topology.ProtoBaseline), false)
 }

@@ -276,9 +276,9 @@ func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFabricFail returns a cell to the queue (or poisons it past the
-// attempt cap). Unlike a local-pool failure — which is final, because the
-// runner already spent its retry budget in this process — a worker-reported
-// failure may be environmental (that node's disk, that node's memory), so
+// attempt cap). Unlike a local-pool failure — which is final, because a
+// deterministic simulation fails the same way again in this process — a
+// worker-reported failure may be environmental (that node's disk, that node's memory), so
 // the cell gets another lease in another failure domain.
 func (s *Server) handleFabricFail(w http.ResponseWriter, r *http.Request) {
 	var req failRequest

@@ -325,9 +325,9 @@ func (s *Server) localWorker(i int) {
 	}
 }
 
-// runLease executes one locally-leased cell. A local failure is final (the
-// runner already spent its retry budget in-process, and there is no other
-// failure domain to try), matching the pre-fabric pool exactly.
+// runLease executes one locally-leased cell. A local failure is final (a
+// deterministic simulation fails the same way again in-process, and there
+// is no other failure domain to try), matching the pre-fabric pool exactly.
 func (s *Server) runLease(l *lease) {
 	j := l.job
 	s.setState(j.key, "running", "")
