@@ -84,8 +84,12 @@ func New(sizeBytes, ways, lineBytes int) *Cache {
 		lineSz:   uint64(lineBytes),
 		Capacity: nsets * ways,
 	}
+	// Every set is a window of one backing array; the 3-index slice caps
+	// each window at its own ways, so an append can never spill into the
+	// next set.
+	backing := make([]Entry, nsets*ways)
 	for i := range c.sets {
-		c.sets[i] = make([]Entry, 0, ways)
+		c.sets[i] = backing[i*ways : i*ways : (i+1)*ways]
 	}
 	return c
 }

@@ -61,6 +61,37 @@ func TestVictimForMatchesInsert(t *testing.T) {
 	}
 }
 
+// TestSetsShareOneBacking pins New's layout: every set is a window of one
+// backing array, capped at its own ways, so filling a set never writes into
+// its neighbour.
+func TestSetsShareOneBacking(t *testing.T) {
+	const sets, ways = 8, 2
+	c := New(sets*ways*64, ways, 64)
+	for i, set := range c.sets {
+		if len(set) != 0 || cap(set) != ways {
+			t.Fatalf("set %d: len %d cap %d, want 0 and %d", i, len(set), cap(set), ways)
+		}
+	}
+	// Fill set 0 past its ways, then set 1: set 1 must still hold exactly
+	// its own lines.
+	for n := uint64(0); n < 3*ways; n++ {
+		c.Insert(line(n*sets), Shared)
+	}
+	for n := uint64(0); n < ways; n++ {
+		c.Insert(line(1+n*sets), Modified)
+	}
+	for s := 0; s < 2; s++ {
+		if len(c.sets[s]) != ways {
+			t.Fatalf("set %d holds %d lines, want %d", s, len(c.sets[s]), ways)
+		}
+		for i, e := range c.sets[s] {
+			if c.setOf(e.Line) != s {
+				t.Fatalf("set %d way %d holds %#x of set %d", s, i, e.Line, c.setOf(e.Line))
+			}
+		}
+	}
+}
+
 func TestInsertExistingUpgrades(t *testing.T) {
 	c := New(1024, 2, 64)
 	c.Insert(line(5), Shared)

@@ -155,28 +155,58 @@ func (d *HomeDir) remoteSocket() int { return (d.socket + 1) % d.sys.Cfg.Sockets
 // failing. cb runs at the home directory when data is available (or the
 // error was logged as DUE).
 func (d *HomeDir) readHomeMem(l topology.Line, cb func()) {
-	cnt := d.sys.Cnts[d.socket]
-	cnt.HomeReads++
-	if d.degraded[l] && d.sys.HasReplica(l) {
-		// Already degraded: funnel straight to the single working copy.
-		cnt.DegradedReads++
-		d.readFromReplicaMem(l, func(ok bool) {
-			if !ok {
-				cnt.DetectedUncorrect++
-				d.sys.ReportRAS(EvDUE, d.socket, l)
-			}
-			cb()
-		})
+	if d.readDegraded(l, cb) {
 		return
 	}
 	d.sys.MCs[d.socket].Read(topology.Addr(l), func(failed bool) {
-		if !failed {
-			cb()
-			return
-		}
-		d.sys.ReportRAS(EvDetect, d.socket, l)
-		d.retryRead(l, 0, retryBackoffCyc, cb)
+		d.homeReadDone(l, failed, cb)
 	})
+}
+
+// readHomeMiss is readHomeMem for a miss: the first read answers on the
+// record's bound continuation, and the data goes to m.memDone.
+func (d *HomeDir) readHomeMiss(m *Miss) {
+	if d.readDegraded(m.line, m.on.memDone) {
+		return
+	}
+	m.markFirst(HopMemIssue, d.socket)
+	d.sys.MCs[d.socket].Read(topology.Addr(m.line), m.on.homeRead)
+}
+
+func (m *Miss) homeRead(failed bool) {
+	m.check()
+	m.mark(HopMemDone, m.dir.socket)
+	m.dir.homeReadDone(m.line, failed, m.on.memDone)
+}
+
+// readDegraded counts a home read and, when the line is degraded, funnels
+// it straight to the single working copy; it reports whether it did.
+func (d *HomeDir) readDegraded(l topology.Line, cb func()) bool {
+	cnt := d.sys.Cnts[d.socket]
+	cnt.HomeReads++
+	if !d.degraded[l] || !d.sys.HasReplica(l) {
+		return false
+	}
+	cnt.DegradedReads++
+	d.readFromReplicaMem(l, func(ok bool) {
+		if !ok {
+			cnt.DetectedUncorrect++
+			d.sys.ReportRAS(EvDUE, d.socket, l)
+		}
+		cb()
+	})
+	return true
+}
+
+// homeReadDone handles the first home read's answer: cb runs now, or after
+// the ladder when the local ECC check failed.
+func (d *HomeDir) homeReadDone(l topology.Line, failed bool, cb func()) {
+	if !failed {
+		cb()
+		return
+	}
+	d.sys.ReportRAS(EvDetect, d.socket, l)
+	d.retryRead(l, 0, retryBackoffCyc, cb)
 }
 
 // retryRead is ladder rung 1: re-read the home copy up to readRetryMax
@@ -317,246 +347,275 @@ func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 // probeLat is the latency of probing a co-located LLC.
 func (d *HomeDir) probeLat() sim.Cycle { return sim.Cycle(d.sys.Cfg.LLCLatencyCyc) }
 
-// GETS handles a read request from an LLC (the home socket's own LLC, or a
-// remote LLC in the baseline — replica-side requests in Dvé come through
-// ReplicaGETS). reply runs at the requester when data is available there.
-func (d *HomeDir) GETS(src int, l topology.Line, reply func()) {
-	d.sequencer.Do("GETS", l, func(release func()) {
-		e := d.entry(l)
-		d.classify(false, e.state)
-		deliver := func() {
-			if src == d.socket {
-				// Reply synchronously, then release: the requester's LLC
-				// fill must land before the MSHR frees, or an already-
-				// queued same-line transaction runs between release and
-				// fill, probes the LLC pre-fill, and the fill then
-				// resurrects a stale copy (SWMR violation). Remote
-				// requesters are safe without this: the FIFO link orders
-				// their fill ahead of any later probe.
-				reply()
-				release()
-				return
-			}
-			d.sys.Link.Send(d.socket, noc.DataBytes, reply)
-			release()
-		}
-		switch {
-		case e.state == cache.Invalid || e.state == cache.Shared:
-			e.state = cache.Shared
-			e.sharers[src] = true
-			d.readHomeMem(l, deliver)
-
-		case int(e.owner) == src:
-			// Degenerate (stale writeback race): serve from memory.
-			d.readHomeMem(l, deliver)
-
-		case int(e.owner) == d.socket:
-			// Home LLC owns it; requester is a remote baseline LLC.
-			d.sys.LLCs[d.socket].Probe(l, false) // M -> O downgrade
-			e.state = cache.Owned
-			e.sharers[src] = true
-			e.sharers[d.socket] = true
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), deliver)
-
-		default:
-			// Remote side owns it; requester is the home LLC.
-			owner := int(e.owner)
-			if a := d.sys.Replicas[owner]; a != nil && d.sys.HasReplica(l) {
-				// Dvé: fetch via the replica directory; the owner LLC
-				// downgrades and the data updates both memories.
-				d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-					a.HomeFetch(l, false, func() {
-						d.sys.Link.Send(owner, noc.DataBytes, func() {
-							d.sys.MCs[d.socket].Write(topology.Addr(l), func() {})
-							e.state = cache.Shared
-							e.owner = -1
-							e.sharers[d.socket] = true
-							e.sharers[owner] = true
-							reply() // home-socket requester: fill before release
-							release()
-						})
-					})
-				})
-				return
-			}
-			// Baseline: downgrade the remote owner (M -> O), data crosses
-			// the link back to the requester at home.
-			d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-				// Runs at the owner after the link crossing: the probe delay
-				// belongs to the owner's partition.
-				d.sys.LLCs[owner].Probe(l, false)
-				d.sys.Engs[owner].Schedule(d.probeLat(), func() {
-					d.sys.Link.Send(owner, noc.DataBytes, func() {
-						e.state = cache.Owned
-						e.sharers[d.socket] = true
-						reply() // home-socket requester: fill before release
-						release()
-					})
-				})
-			})
-		}
-	})
+// GETS handles a read miss from an LLC (the home socket's own LLC, or a
+// remote LLC in the baseline — replica-side misses in Dvé come through
+// ReplicaGETS). The miss fills at its requester when data is there.
+func (d *HomeDir) GETS(m *Miss) {
+	m.dir = d
+	d.sequencer.Do("GETS", m.line, m.on.gets)
 }
 
-// GETX handles a write (exclusive) request from an LLC. reply runs at the
-// requester when write permission (and data, if needData) is there.
-func (d *HomeDir) GETX(src int, l topology.Line, needData bool, reply func()) {
-	d.sequencer.Do("GETX", l, func(release func()) {
-		e := d.entry(l)
-		d.classify(true, e.state)
-		agent := d.replicaAgent()
-		denyPush := false
-		if src == d.socket && agent != nil && d.sys.HasReplica(l) {
-			// Dvé: the replica directory must be told before the home side
-			// writes. Allow protocol: only when the replica directory holds
-			// the line (it is a registered sharer). Deny protocol: always —
-			// absence of an entry means the replica is readable, so the deny
-			// must be pushed eagerly (Section V-C2).
-			denyPush = e.sharers[d.remoteSocket()] || d.denyModeActive()
-		}
+// gets is GETS's body, run once the line is held.
+func (m *Miss) gets(release func()) {
+	m.check()
+	d, l, src := m.dir, m.line, m.socket
+	m.release = release
+	m.markFirst(HopDir, d.socket)
+	e := d.entry(l)
+	m.e = e
+	d.classify(false, e.state)
+	switch {
+	case e.state == cache.Invalid || e.state == cache.Shared:
+		e.state = cache.Shared
+		e.sharers[src] = true
+		d.readHomeMiss(m)
 
-		deliver := func() {
-			if src == d.socket {
-				// Synchronous reply before release — see the GETS deliver
-				// comment: the home LLC's fill must land before the MSHR
-				// frees or a queued same-line transaction probes pre-fill.
-				reply()
-				release()
-				return
-			}
-			bytes := noc.DataBytes
-			if !needData {
-				bytes = noc.CtrlBytes
-			}
-			d.sys.Link.Send(d.socket, bytes, reply)
-			release()
-		}
+	case int(e.owner) == src:
+		// Degenerate (stale writeback race): serve from memory.
+		d.readHomeMiss(m)
 
-		grantTo := func() {
-			e.state = cache.Modified
-			e.owner = int8(src)
-			e.sharers = [2]bool{}
-			e.sharers[src] = true
-		}
+	case int(e.owner) == d.socket:
+		// Home LLC owns it; requester is a remote baseline LLC.
+		d.sys.LLCs[d.socket].Probe(l, false) // M -> O downgrade
+		e.state = cache.Owned
+		e.sharers[src] = true
+		e.sharers[d.socket] = true
+		d.sys.Engs[d.socket].Schedule(d.probeLat(), m.on.deliver)
 
-		switch {
-		case e.state == cache.Invalid || e.state == cache.Shared,
-			int(e.owner) == src:
-			// Fresh grant, upgrade from S, or an O->M upgrade by the owner
-			// itself (dirty-shared line being written again): invalidate
-			// every other sharer, push the deny if needed, and read memory
-			// in parallel; grant when everything completes. An owner
-			// already holds current data, so no memory read is needed.
-			if int(e.owner) == src {
-				needData = false
-			}
-			remote := d.remoteSocket()
-			needRemoteInv := denyPush ||
-				(e.sharers[remote] && src != remote)
-			needHomeInv := e.sharers[d.socket] && src != d.socket
-
-			join := 1 // memory/data leg
-			if needRemoteInv {
-				join++
-			}
-			pushed := needRemoteInv
-			var done func()
-			done = func() {
-				join--
-				if join != 0 {
-					return
-				}
-				// The dynamic protocol can switch families while this
-				// transaction is in flight: re-check at grant time and push
-				// the deny now if the new mode requires one (otherwise a
-				// freshly deny-mode replica directory would keep serving a
-				// line the home side is about to write).
-				if src == d.socket && agent != nil && !pushed &&
-					d.sys.HasReplica(l) && d.denyModeActive() {
-					pushed = true
-					join = 1
-					d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-						agent.HomeInvalidate(l, func() {
-							d.sys.Link.Send(remote, noc.CtrlBytes, done)
-						})
-					})
-					return
-				}
-				grantTo()
-				deliver()
-			}
-			if needHomeInv {
-				// Local probe: latency folded into the directory access.
-				d.sys.LLCs[d.socket].Probe(l, true)
-			}
-			if needRemoteInv {
-				d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-					inv := func(ack func()) {
-						if agent != nil && d.sys.HasReplica(l) {
-							agent.HomeInvalidate(l, ack)
-						} else {
-							// Post-link: the probe runs on the remote partition.
-							d.sys.LLCs[remote].Probe(l, true)
-							d.sys.Engs[remote].Schedule(d.probeLat(), ack)
-						}
-					}
-					inv(func() {
-						d.sys.Link.Send(remote, noc.CtrlBytes, done)
-					})
-				})
-			}
-			if needData {
-				d.readHomeMem(l, done)
-			} else {
-				d.sys.Engs[d.socket].Schedule(0, done)
-			}
-
-		case int(e.owner) == d.socket:
-			// Home LLC owns; requester is a remote baseline LLC.
-			d.sys.LLCs[d.socket].Probe(l, true)
-			grantTo()
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), deliver)
-
-		default:
-			// Remote side owns; requester is the home LLC.
-			owner := int(e.owner)
-			if a := d.sys.Replicas[owner]; a != nil && d.sys.HasReplica(l) {
-				d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-					// invalidate=true also installs RM under the deny
-					// protocol: the home side is taking exclusive access.
-					a.HomeFetch(l, true, func() {
-						d.sys.Link.Send(owner, noc.DataBytes, func() {
-							grantTo()
-							reply() // home-socket requester: fill before release
-							release()
-						})
-					})
-				})
-				return
-			}
-			d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-				// Post-link: probe delay on the owner's partition.
-				d.sys.LLCs[owner].Probe(l, true)
-				d.sys.Engs[owner].Schedule(d.probeLat(), func() {
-					d.sys.Link.Send(owner, noc.DataBytes, func() {
-						grantTo()
-						reply() // home-socket requester: fill before release
-						release()
-					})
-				})
-			})
-		}
-	})
-}
-
-// denyModeActive reports whether the attached replica agent currently runs
-// the deny-based protocol (the dynamic protocol switches at runtime).
-func (d *HomeDir) denyModeActive() bool {
-	type denyModer interface{ DenyMode() bool }
-	if a, ok := d.replicaAgent().(denyModer); ok {
-		return a.DenyMode()
+	default:
+		// Remote side owns it; requester is the home LLC.
+		m.fetchFromOwner()
 	}
-	return false
+}
+
+// memDone runs when the home memory read has the data.
+func (m *Miss) memDone() {
+	m.check()
+	if m.write {
+		m.legDone()
+		return
+	}
+	m.deliver()
+}
+
+// deliver sends the grant to the requester and frees the line.
+func (m *Miss) deliver() {
+	m.check()
+	d, release := m.dir, m.release
+	if m.socket == d.socket {
+		// Fill synchronously, then release: the requester's LLC fill must
+		// land before the MSHR frees, or an already-queued same-line
+		// transaction runs between release and fill, probes the LLC
+		// pre-fill, and the fill then resurrects a stale copy (SWMR
+		// violation). Remote requesters are safe without this: the FIFO
+		// link orders their fill ahead of any later probe.
+		m.finish()
+		release()
+		return
+	}
+	bytes := noc.DataBytes
+	if m.write && !m.needData {
+		bytes = noc.CtrlBytes
+	}
+	d.sys.Link.Send(d.socket, bytes, m.on.back)
+	release()
+}
+
+// fetchFromOwner serves a home-socket miss for a line the remote side owns:
+// a Dvé replica agent fetches it for the home (the owner LLC downgrades or
+// invalidates and, for a read, the data updates both memories); in the
+// baseline the home probes the remote owner LLC directly. Either way the
+// data crosses the link back to the requester at home.
+func (m *Miss) fetchFromOwner() {
+	d := m.dir
+	m.owner = int(m.e.owner)
+	m.viaAgent = d.sys.Replicas[m.owner] != nil && d.sys.HasReplica(m.line)
+	m.markFirst(HopLinkOut, d.socket)
+	d.sys.Link.Send(d.socket, noc.CtrlBytes, m.on.atOwner)
+}
+
+// atOwner runs at the owner after the link crossing, so the probe delay
+// belongs to the owner's partition. A write's fetch (invalidate=true) also
+// installs RM under the deny protocol: the home side is taking exclusive
+// access.
+func (m *Miss) atOwner() {
+	m.check()
+	if m.viaAgent {
+		m.sys.Replicas[m.owner].HomeFetch(m.line, m.write, m.on.ownerAck)
+		return
+	}
+	m.sys.LLCs[m.owner].Probe(m.line, m.write)
+	m.sys.Engs[m.owner].Schedule(m.dir.probeLat(), m.on.ownerAck)
+}
+
+func (m *Miss) ownerAck() {
+	m.check()
+	m.sys.Link.Send(m.owner, noc.DataBytes, m.on.ownerData)
+}
+
+// ownerData is the owner's data arriving at home.
+func (m *Miss) ownerData() {
+	m.check()
+	d, e := m.dir, m.e
+	m.mark(HopLinkBack, d.socket)
+	switch {
+	case m.write:
+		m.grant()
+	case m.viaAgent:
+		d.sys.MCs[d.socket].Write(topology.Addr(m.line), func() {})
+		e.state = cache.Shared
+		e.owner = -1
+		e.sharers[d.socket] = true
+		e.sharers[m.owner] = true
+	default:
+		// Baseline: the remote owner went M -> O.
+		e.state = cache.Owned
+		e.sharers[d.socket] = true
+	}
+	release := m.release
+	m.finish() // home-socket requester: fill before release
+	release()
+}
+
+// GETX handles a write (exclusive) miss from an LLC. The miss fills at its
+// requester when write permission (and data, if needData) is there.
+func (d *HomeDir) GETX(m *Miss) {
+	m.dir = d
+	d.sequencer.Do("GETX", m.line, m.on.getx)
+}
+
+// getx is GETX's body, run once the line is held.
+func (m *Miss) getx(release func()) {
+	m.check()
+	d, l, src := m.dir, m.line, m.socket
+	m.release = release
+	m.markFirst(HopDir, d.socket)
+	e := d.entry(l)
+	m.e = e
+	d.classify(true, e.state)
+	agent := d.replicaAgent()
+	denyPush := false
+	if src == d.socket && agent != nil && d.sys.HasReplica(l) {
+		// Dvé: the replica directory must be told before the home side
+		// writes. Allow protocol: only when the replica directory holds
+		// the line (it is a registered sharer). Deny protocol: always —
+		// absence of an entry means the replica is readable, so the deny
+		// must be pushed eagerly (Section V-C2).
+		denyPush = e.sharers[d.remoteSocket()] || agent.DenyMode()
+	}
+
+	switch {
+	case e.state == cache.Invalid || e.state == cache.Shared,
+		int(e.owner) == src:
+		// Fresh grant, upgrade from S, or an O->M upgrade by the owner
+		// itself (dirty-shared line being written again): invalidate
+		// every other sharer, push the deny if needed, and read memory
+		// in parallel; grant when everything completes. An owner
+		// already holds current data, so no memory read is needed.
+		if int(e.owner) == src {
+			m.needData = false
+		}
+		remote := d.remoteSocket()
+		needRemoteInv := denyPush ||
+			(e.sharers[remote] && src != remote)
+		needHomeInv := e.sharers[d.socket] && src != d.socket
+
+		m.join = 1 // memory/data leg
+		if needRemoteInv {
+			m.join++
+		}
+		m.pushed = needRemoteInv
+		if needHomeInv {
+			// Local probe: latency folded into the directory access.
+			d.sys.LLCs[d.socket].Probe(l, true)
+		}
+		if needRemoteInv {
+			m.markFirst(HopLinkOut, d.socket)
+			d.sys.Link.Send(d.socket, noc.CtrlBytes, m.on.remoteInv)
+		}
+		if m.needData {
+			d.readHomeMiss(m)
+		} else {
+			d.sys.Engs[d.socket].Schedule(0, m.on.legDone)
+		}
+
+	case int(e.owner) == d.socket:
+		// Home LLC owns; requester is a remote baseline LLC.
+		d.sys.LLCs[d.socket].Probe(l, true)
+		m.grant()
+		d.sys.Engs[d.socket].Schedule(d.probeLat(), m.on.deliver)
+
+	default:
+		// Remote side owns; requester is the home LLC.
+		m.fetchFromOwner()
+	}
+}
+
+// remoteInv runs on the remote side after the link crossing: the replica
+// agent invalidates (allow) or installs the deny (deny); without one the
+// remote baseline LLC is probed directly.
+func (m *Miss) remoteInv() {
+	m.check()
+	d := m.dir
+	if a := d.replicaAgent(); a != nil && d.sys.HasReplica(m.line) {
+		a.HomeInvalidate(m.line, m.on.invAck)
+		return
+	}
+	remote := d.remoteSocket()
+	d.sys.LLCs[remote].Probe(m.line, true)
+	d.sys.Engs[remote].Schedule(d.probeLat(), m.on.invAck)
+}
+
+// lateInv is the deny push a mode switch made necessary mid-transaction.
+func (m *Miss) lateInv() {
+	m.check()
+	m.dir.replicaAgent().HomeInvalidate(m.line, m.on.invAck)
+}
+
+func (m *Miss) invAck() {
+	m.check()
+	m.sys.Link.Send(m.dir.remoteSocket(), noc.CtrlBytes, m.on.invBack)
+}
+
+// invBack is the invalidation ack arriving at home.
+func (m *Miss) invBack() {
+	m.check()
+	m.mark(HopLinkBack, m.dir.socket)
+	m.legDone()
+}
+
+// legDone joins GETX's legs: the grant goes out when the last one is in.
+func (m *Miss) legDone() {
+	m.check()
+	m.join--
+	if m.join != 0 {
+		return
+	}
+	d := m.dir
+	// The dynamic protocol can switch families while this transaction is
+	// in flight: re-check at grant time and push the deny now if the new
+	// mode requires one (otherwise a freshly deny-mode replica directory
+	// would keep serving a line the home side is about to write).
+	if m.socket == d.socket && !m.pushed {
+		if a := d.replicaAgent(); a != nil && d.sys.HasReplica(m.line) && a.DenyMode() {
+			m.pushed = true
+			m.join = 1
+			m.markFirst(HopLinkOut, d.socket)
+			d.sys.Link.Send(d.socket, noc.CtrlBytes, m.on.lateInv)
+			return
+		}
+	}
+	m.grant()
+	m.deliver()
+}
+
+// grant makes the requester the line's exclusive owner.
+func (m *Miss) grant() {
+	e := m.e
+	e.state = cache.Modified
+	e.owner = int8(m.socket)
+	e.sharers = [2]bool{}
+	e.sharers[m.socket] = true
 }
 
 // PUTM handles a dirty writeback from an LLC. In replicated configurations
@@ -641,79 +700,91 @@ func (d *HomeDir) LinesOwnedBy(socket int) []topology.Line {
 	return out
 }
 
-// ReplicaGETS handles a read request forwarded by the replica directory for
-// a line it could not serve locally (allow: no entry; deny: RM). reply runs
-// back at the replica directory; dataShipped=false means only a control
-// grant crossed the link and the replica memory holds current data.
-func (d *HomeDir) ReplicaGETS(l topology.Line, reply func(dataShipped bool)) {
-	d.sequencer.Do("ReplicaGETS", l, func(release func()) {
-		e := d.entry(l)
-		r := d.remoteSocket()
-		switch {
-		case e.state == cache.Invalid || e.state == cache.Shared,
-			int(e.owner) == r:
-			e.state = cache.Shared
-			e.sharers[r] = true
-			// Replica memory is current: control-only grant.
-			d.sys.Link.Send(d.socket, noc.CtrlBytes, func() { reply(false) })
-			release()
-		default:
-			// Home LLC holds it dirty: downgrade, dual writeback; the data
-			// message to the replica directory doubles as the replica
-			// update.
-			d.sys.LLCs[d.socket].Downgrade(l)
-			e.state = cache.Shared
-			e.owner = -1
-			e.sharers[d.socket] = true
-			e.sharers[r] = true
-			d.sys.MCs[d.socket].Write(topology.Addr(l), func() {})
-			d.sys.Cnts[d.socket].DualWritebacks++
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), func() {
-				d.sys.Link.Send(d.socket, noc.DataBytes, func() { reply(true) })
-				release()
-			})
-		}
-	})
+// ReplicaGETS handles a read miss forwarded by the replica directory for a
+// line it could not serve locally (allow: no entry; deny: RM). The grant
+// runs the agent's parked step back at the replica directory; DataShipped
+// false means only a control grant crossed the link and the replica memory
+// holds current data.
+func (d *HomeDir) ReplicaGETS(m *Miss) {
+	m.dir = d
+	d.sequencer.Do("ReplicaGETS", m.line, m.on.replicaGETS)
 }
 
-// ReplicaGETX handles an exclusive request forwarded by the replica
-// directory. On a control-only grant the replica directory supplies data
-// from the local replica memory.
-func (d *HomeDir) ReplicaGETX(l topology.Line, reply func(dataShipped bool)) {
-	d.sequencer.Do("ReplicaGETX", l, func(release func()) {
-		e := d.entry(l)
-		r := d.remoteSocket()
-		grant := func() {
-			e.state = cache.Modified
-			e.owner = int8(r)
-			e.sharers = [2]bool{}
-			e.sharers[r] = true
-		}
-		switch {
-		case e.state == cache.Invalid,
-			e.state == cache.Shared && !e.sharers[d.socket],
-			int(e.owner) == r:
-			grant()
-			d.sys.Link.Send(d.socket, noc.CtrlBytes, func() { reply(false) })
-			release()
-		case e.state == cache.Shared:
-			// Invalidate the home LLC sharer, then control grant.
-			d.sys.LLCs[d.socket].Probe(l, true)
-			grant()
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), func() {
-				d.sys.Link.Send(d.socket, noc.CtrlBytes, func() { reply(false) })
-				release()
-			})
-		default:
-			// Home LLC owns it dirty: invalidate + fetch; ship data.
-			d.sys.LLCs[d.socket].Probe(l, true)
-			grant()
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), func() {
-				d.sys.Link.Send(d.socket, noc.DataBytes, func() { reply(true) })
-				release()
-			})
-		}
-	})
+func (m *Miss) replicaGETS(release func()) {
+	m.check()
+	d, l := m.dir, m.line
+	e := d.entry(l)
+	r := d.remoteSocket()
+	switch {
+	case e.state == cache.Invalid || e.state == cache.Shared,
+		int(e.owner) == r:
+		e.state = cache.Shared
+		e.sharers[r] = true
+		// Replica memory is current: control-only grant.
+		d.sys.Link.Send(d.socket, noc.CtrlBytes, m.on.granted)
+		release()
+	default:
+		// Home LLC holds it dirty: downgrade, dual writeback; the data
+		// message to the replica directory doubles as the replica
+		// update.
+		d.sys.LLCs[d.socket].Downgrade(l)
+		e.state = cache.Shared
+		e.owner = -1
+		e.sharers[d.socket] = true
+		e.sharers[r] = true
+		d.sys.MCs[d.socket].Write(topology.Addr(l), func() {})
+		d.sys.Cnts[d.socket].DualWritebacks++
+		m.release, m.dataShipped = release, true
+		d.sys.Engs[d.socket].Schedule(d.probeLat(), m.on.replicaReply)
+	}
+}
+
+// ReplicaGETX handles an exclusive miss forwarded by the replica directory.
+// On a control-only grant the replica directory supplies data from the
+// local replica memory.
+func (d *HomeDir) ReplicaGETX(m *Miss) {
+	m.dir = d
+	d.sequencer.Do("ReplicaGETX", m.line, m.on.replicaGETX)
+}
+
+func (m *Miss) replicaGETX(release func()) {
+	m.check()
+	d, l := m.dir, m.line
+	e := d.entry(l)
+	m.e = e
+	switch {
+	case e.state == cache.Invalid,
+		e.state == cache.Shared && !e.sharers[d.socket],
+		int(e.owner) == d.remoteSocket():
+		m.grant()
+		d.sys.Link.Send(d.socket, noc.CtrlBytes, m.on.granted)
+		release()
+	case e.state == cache.Shared:
+		// Invalidate the home LLC sharer, then control grant.
+		d.sys.LLCs[d.socket].Probe(l, true)
+		m.grant()
+		m.release = release
+		d.sys.Engs[d.socket].Schedule(d.probeLat(), m.on.replicaReply)
+	default:
+		// Home LLC owns it dirty: invalidate + fetch; ship data.
+		d.sys.LLCs[d.socket].Probe(l, true)
+		m.grant()
+		m.release, m.dataShipped = release, true
+		d.sys.Engs[d.socket].Schedule(d.probeLat(), m.on.replicaReply)
+	}
+}
+
+// replicaReply sends a ReplicaGETS/ReplicaGETX grant after the home LLC
+// probe and frees the line.
+func (m *Miss) replicaReply() {
+	m.check()
+	d, release := m.dir, m.release
+	bytes := noc.CtrlBytes
+	if m.dataShipped {
+		bytes = noc.DataBytes
+	}
+	d.sys.Link.Send(d.socket, bytes, m.on.granted)
+	release()
 }
 
 // ReplicaPUTM completes a replica-side dirty writeback: the data message has

@@ -50,40 +50,92 @@ func (c *LLC) Request(core int, write bool, l topology.Line, done func()) {
 	}
 	// Global transaction required.
 	c.sys.Cnts[c.socket].LLCMisses++
-	start := c.sys.Engs[c.socket].Now()
 	c.mshr.Allocate(l)
-	needData := e == nil || !e.State.Readable() // S->M upgrades carry no data
-	// The miss span covers the whole global transaction; sp is zero (and
-	// End a no-op) when tracing is off, so the capture adds nothing to the
-	// closure the miss path already allocates.
-	var sp telemetry.SpanID
+	m := c.sys.takeMiss(c.socket)
+	m.core, m.write, m.line, m.done = core, write, l, done
+	m.needData = e == nil || !e.State.Readable()
+	m.start = c.sys.Engs[c.socket].Now()
+	// The miss span covers the whole global transaction; it stays zero
+	// (and End a no-op) when tracing is off.
 	if tr := c.sys.Trace; tr != nil {
-		sp = tr.Begin(telemetry.CompLLC, c.socket, "miss", uint64(l))
+		m.span = tr.Begin(telemetry.CompLLC, c.socket, "miss", uint64(l))
 	}
-	finish := func() {
-		lat := uint64(c.sys.Engs[c.socket].Now() - start)
-		cnt := c.sys.Cnts[c.socket]
-		cnt.MemLatencySum += lat
-		cnt.MemCount++
-		cnt.MissLatency.Add(lat)
-		c.fill(core, write, l)
-		c.sys.l1Fill(core, l, write)
-		if tr := c.sys.Trace; tr != nil {
-			tr.Point(telemetry.CompLLC, c.socket, "fill", uint64(l))
-			tr.End(sp)
-		}
-		done()
-		for _, w := range c.mshr.Release(l) {
-			w()
-		}
-	}
-	c.sys.Engs[c.socket].Schedule(lat, func() {
-		if write {
-			c.issueGETX(l, needData, finish)
+	c.sys.Engs[c.socket].Schedule(lat, m.on.issue)
+}
+
+// issue routes the miss's global request: to the local home directory, to
+// the local replica agent, or across the link to the remote home directory.
+func (m *Miss) issue() {
+	m.check()
+	s := m.sys
+	m.mark(HopIssue, m.socket)
+	switch home := s.AMap.HomeSocketLine(m.line); {
+	case home == m.socket:
+		m.toHome()
+	case s.Replicas[m.socket] != nil && s.HasReplica(m.line):
+		if m.write {
+			s.Replicas[m.socket].LocalGETX(m)
 		} else {
-			c.issueGETS(l, needData, finish)
+			s.Replicas[m.socket].LocalGETS(m)
 		}
-	})
+	default:
+		m.markFirst(HopLinkOut, m.socket)
+		s.Link.Send(m.socket, noc.CtrlBytes, m.on.toHome)
+	}
+}
+
+// toHome hands the miss to its home directory.
+func (m *Miss) toHome() {
+	m.check()
+	d := m.sys.Dirs[m.sys.AMap.HomeSocketLine(m.line)]
+	if m.write {
+		d.GETX(m)
+	} else {
+		d.GETS(m)
+	}
+}
+
+// back is the home directory's reply arriving across the link.
+func (m *Miss) back() {
+	m.check()
+	m.mark(HopLinkBack, m.socket)
+	m.finish()
+}
+
+// finish fills the line at the requester, grants it to the L1, wakes the
+// requests the LLC's MSHR deferred behind the miss and recycles the record
+// (unless a squashed speculative read is still out: its landing recycles
+// it). Callers must copy out any field they use afterwards.
+func (m *Miss) finish() {
+	s, c := m.sys, m.sys.LLCs[m.socket]
+	now := s.Engs[m.socket].Now()
+	lat := uint64(now - m.start)
+	cnt := s.Cnts[m.socket]
+	if m.fromReplica {
+		cnt.ReplicaReads++
+	}
+	cnt.MemLatencySum += lat
+	cnt.MemCount++
+	cnt.MissLatency.Add(lat)
+	c.fill(m.core, m.write, m.line)
+	s.l1Fill(m.core, m.line, m.write)
+	if tr := s.Trace; tr != nil {
+		tr.Point(telemetry.CompLLC, m.socket, "fill", uint64(m.line))
+		tr.End(m.span)
+	}
+	m.stamps[HopFill] = now
+	if s.OnMissFill != nil {
+		s.OnMissFill(m)
+	}
+	m.done()
+	for _, w := range c.mshr.Release(m.line) {
+		w()
+	}
+	m.filled = true
+	if m.spec && !m.specDone {
+		return
+	}
+	m.recycle()
 }
 
 // localService satisfies a request entirely within the socket, returning the
@@ -256,41 +308,6 @@ func (c *LLC) RegisterRemoteShared() int {
 
 // HasLine reports whether the LLC currently holds the line (any valid state).
 func (c *LLC) HasLine(l topology.Line) bool { return c.store.Peek(l) != nil }
-
-// issueGETS routes a global read request: to the local home directory, to
-// the local replica agent, or across the link to the remote home directory.
-func (c *LLC) issueGETS(l topology.Line, needData bool, done func()) {
-	home := c.sys.AMap.HomeSocketLine(l)
-	switch {
-	case home == c.socket:
-		c.sys.Dirs[home].GETS(c.socket, l, done)
-	case c.sys.Replicas[c.socket] != nil && c.sys.HasReplica(l):
-		c.sys.Replicas[c.socket].LocalGETS(l, needData, func(fromReplica bool) {
-			if fromReplica {
-				c.sys.Cnts[c.socket].ReplicaReads++
-			}
-			done()
-		})
-	default:
-		c.sys.Link.Send(c.socket, noc.CtrlBytes, func() {
-			c.sys.Dirs[home].GETS(c.socket, l, done)
-		})
-	}
-}
-
-func (c *LLC) issueGETX(l topology.Line, needData bool, done func()) {
-	home := c.sys.AMap.HomeSocketLine(l)
-	switch {
-	case home == c.socket:
-		c.sys.Dirs[home].GETX(c.socket, l, needData, done)
-	case c.sys.Replicas[c.socket] != nil && c.sys.HasReplica(l):
-		c.sys.Replicas[c.socket].LocalGETX(l, needData, done)
-	default:
-		c.sys.Link.Send(c.socket, noc.CtrlBytes, func() {
-			c.sys.Dirs[home].GETX(c.socket, l, needData, done)
-		})
-	}
-}
 
 func (c *LLC) issuePUTM(l topology.Line) {
 	home := c.sys.AMap.HomeSocketLine(l)

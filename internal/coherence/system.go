@@ -35,12 +35,13 @@ type ReplicaMapper interface {
 // at the agent's socket; any link crossing to reach the agent has already
 // been paid by the caller.
 type ReplicaAgent interface {
-	// LocalGETS handles a read request from this socket's LLC for a line
-	// homed on the other socket. done fires when data is available at the
-	// LLC; fromReplica reports whether the local replica supplied it.
-	LocalGETS(l topology.Line, needData bool, done func(fromReplica bool))
-	// LocalGETX handles a write (exclusive) request from this socket's LLC.
-	LocalGETX(l topology.Line, needData bool, done func())
+	// LocalGETS handles a read miss from this socket's LLC for a line homed
+	// on the other socket. The agent completes the miss (Miss.Complete)
+	// when data is available at the LLC, reporting whether the local
+	// replica supplied it.
+	LocalGETS(m *Miss)
+	// LocalGETX handles a write (exclusive) miss from this socket's LLC.
+	LocalGETX(m *Miss)
 	// LocalPUTM handles a dirty writeback from this socket's LLC: the data
 	// must reach both the replica memory and the home memory synchronously.
 	LocalPUTM(l topology.Line, done func())
@@ -61,6 +62,10 @@ type ReplicaAgent interface {
 	// Drain clears replica-directory state ahead of a protocol switch
 	// (dynamic protocol, Section V-C5).
 	Drain(done func())
+	// DenyMode reports whether the agent runs the deny-based protocol (the
+	// dynamic protocol switches at runtime); the home directory then
+	// pushes a deny on every home-side write.
+	DenyMode() bool
 }
 
 // System wires together the cores, caches, directories, memory controllers
@@ -135,6 +140,12 @@ type System struct {
 	// One pool per socket: a record is taken and recycled only by its own
 	// socket's partition.
 	accFree [][]*accessReq
+	// missFree pools the per-miss transaction records the same way.
+	missFree [][]*Miss
+
+	// OnMissFill, when set, observes every miss record at its fill, before
+	// the record is recycled. It must only observe.
+	OnMissFill func(m *Miss)
 }
 
 // Counters returns the run-level counter view: socket shards folded in
@@ -225,6 +236,7 @@ func NewPartitioned(cfg *topology.Config, pe *sim.ParallelEngine) (*System, erro
 	s.Replicas = make([]ReplicaAgent, cfg.Sockets)
 	s.mcDead = make([]bool, cfg.Sockets)
 	s.accFree = make([][]*accessReq, cfg.Sockets)
+	s.missFree = make([][]*Miss, cfg.Sockets)
 	for sk := 0; sk < cfg.Sockets; sk++ {
 		mc := mem.NewController(s.Engs[sk], cfg, amap, sk)
 		if cfg.Protocol == topology.ProtoIntelMirror {
@@ -485,27 +497,6 @@ func (s *System) probeL1(core int, line topology.Line, invalidate bool) (dirty b
 		e.State = cache.Shared
 	}
 	return dirty
-}
-
-// sendToHome delivers fn at the home directory of the line, paying the link
-// if the requester's socket differs from the home socket.
-func (s *System) sendToHome(fromSocket int, l topology.Line, bytes int, fn func()) {
-	home := s.AMap.HomeSocketLine(l)
-	if fromSocket == home {
-		s.Engs[home].Schedule(0, fn)
-		return
-	}
-	s.Link.Send(fromSocket, bytes, fn)
-}
-
-// replyFromHome delivers fn at the requester, paying the link if needed.
-func (s *System) replyFromHome(l topology.Line, toSocket int, bytes int, fn func()) {
-	home := s.AMap.HomeSocketLine(l)
-	if toSocket == home {
-		s.Engs[home].Schedule(0, fn)
-		return
-	}
-	s.Link.Send(home, bytes, fn)
 }
 
 // Drain runs the partitions until all queued demanded events complete.

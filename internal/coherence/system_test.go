@@ -174,9 +174,9 @@ type fakeAgent struct {
 	denyMode    bool
 }
 
-func (f *fakeAgent) LocalGETS(l topology.Line, needData bool, done func(bool)) { done(false) }
-func (f *fakeAgent) LocalGETX(l topology.Line, needData bool, done func())     { done() }
-func (f *fakeAgent) LocalPUTM(l topology.Line, done func())                    { done() }
+func (f *fakeAgent) LocalGETS(m *Miss)                      { m.Complete(false) }
+func (f *fakeAgent) LocalGETX(m *Miss)                      { m.Complete(false) }
+func (f *fakeAgent) LocalPUTM(l topology.Line, done func()) { done() }
 func (f *fakeAgent) HomeInvalidate(l topology.Line, ack func()) {
 	f.invs++
 	f.sys.Engs[1].Schedule(1, ack)

@@ -80,6 +80,16 @@ type ReplicaDir struct {
 	dirFetchLat sim.Cycle
 
 	oracular bool
+
+	// steps are the directory's miss-transaction steps, bound once so that
+	// parking one on a miss record allocates nothing.
+	steps struct {
+		getsHeld, getxHeld, getxEntry, getxGranted func(*coherence.Miss)
+		allowGranted, denyGranted, oracleGranted   func(*coherence.Miss)
+		regionAnswered                             func(*coherence.Miss)
+		denyEntryCached, denyEntryMissed           func(*coherence.Miss)
+		replicaRead                                func(*coherence.Miss, bool)
+	}
 }
 
 // New creates the replica directory for a socket and registers it with the
@@ -102,6 +112,14 @@ func New(sys *coherence.System, socket int, mode Mode) *ReplicaDir {
 		oracular: cfg.Oracular,
 	}
 	rd.sequencer.Trace = sys.Trace
+	st := &rd.steps
+	st.getsHeld, st.getxHeld = rd.getsHeld, rd.getxHeld
+	st.getxEntry, st.getxGranted = rd.getxEntry, rd.getxGranted
+	st.allowGranted, st.denyGranted, st.oracleGranted = rd.allowGranted, rd.denyGranted, rd.oracleGranted
+	st.regionAnswered = rd.regionAnswered
+	st.denyEntryCached = func(m *coherence.Miss) { rd.denyEntry(m, true) }
+	st.denyEntryMissed = func(m *coherence.Miss) { rd.denyEntry(m, false) }
+	st.replicaRead = rd.replicaRead
 	sys.SetReplicaAgent(socket, rd)
 	return rd
 }
@@ -135,71 +153,93 @@ func (rd *ReplicaDir) regionOf(l topology.Line) uint64 {
 	return uint64(l) / uint64(rd.sys.Cfg.RegionBytes)
 }
 
-// readReplicaMem reads the line's replica from this socket's local memory,
+// readReplicaMem reads the miss's line from this socket's replica memory,
 // recovering via the home copy if the local ECC check fails.
-func (rd *ReplicaDir) readReplicaMem(l topology.Line, cb func()) {
+func (rd *ReplicaDir) readReplicaMem(m *coherence.Miss) {
+	rd.sys.MCs[rd.socket].Read(rd.replicaAddr(m.Line()), m.ReadThen(rd.steps.replicaRead))
+}
+
+func (rd *ReplicaDir) replicaRead(m *coherence.Miss, failed bool) {
+	if !failed {
+		rd.readDone(m)
+		return
+	}
+	l := m.Line()
 	cnt := rd.sys.Cnts[rd.socket]
-	ra := rd.replicaAddr(l)
-	rd.sys.MCs[rd.socket].Read(ra, func(failed bool) {
-		if !failed {
-			cb()
-			return
-		}
-		rd.sys.ReportRAS(coherence.EvDetect, rd.socket, l)
-		// Divert to the home memory controller (Section V-B2).
-		home := (rd.socket + 1) % rd.sys.Cfg.Sockets
-		rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
-			rd.sys.MCs[home].Read(topology.Addr(l), func(failed2 bool) {
-				rd.sys.Link.Send(home, noc.DataBytes, func() {
-					if failed2 {
-						cnt.DetectedUncorrect++
-						rd.sys.ReportRAS(coherence.EvDUE, rd.socket, l)
-					} else {
-						cnt.CorrectedErrors++
-						cnt.Recoveries++
-						rd.sys.ReportRAS(coherence.EvRecover, rd.socket, l)
-						// Try to repair the replica copy.
-						cnt.RepairWrites++
-						rd.sys.ReportRAS(coherence.EvRepair, rd.socket, l)
-						rd.sys.MCs[rd.socket].Write(ra, func() {})
-						rd.sys.ReportRepair(rd.socket, ra)
-					}
-					cb()
-				})
+	rd.sys.ReportRAS(coherence.EvDetect, rd.socket, l)
+	// Divert to the home memory controller (Section V-B2).
+	home := (rd.socket + 1) % rd.sys.Cfg.Sockets
+	rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
+		rd.sys.MCs[home].Read(topology.Addr(l), func(failed2 bool) {
+			rd.sys.Link.Send(home, noc.DataBytes, func() {
+				if failed2 {
+					cnt.DetectedUncorrect++
+					rd.sys.ReportRAS(coherence.EvDUE, rd.socket, l)
+				} else {
+					cnt.CorrectedErrors++
+					cnt.Recoveries++
+					rd.sys.ReportRAS(coherence.EvRecover, rd.socket, l)
+					// Try to repair the replica copy.
+					cnt.RepairWrites++
+					rd.sys.ReportRAS(coherence.EvRepair, rd.socket, l)
+					ra := rd.replicaAddr(l)
+					rd.sys.MCs[rd.socket].Write(ra, func() {})
+					rd.sys.ReportRepair(rd.socket, ra)
+				}
+				rd.readDone(m)
 			})
 		})
 	})
 }
 
-// LocalGETS implements coherence.ReplicaAgent. done(fromReplica) runs when
-// data is available at this socket's LLC.
-func (rd *ReplicaDir) LocalGETS(l topology.Line, needData bool, done func(fromReplica bool)) {
-	rd.sequencer.Do("LocalGETS", l, func(release func()) {
-		fin := func(fromReplica bool) {
-			if tr := rd.sys.Trace; tr != nil {
-				if fromReplica {
-					tr.Point(telemetry.CompReplicaDir, rd.socket, "grant-replica", uint64(l))
-				} else {
-					tr.Point(telemetry.CompReplicaDir, rd.socket, "grant-home", uint64(l))
-				}
-			}
-			done(fromReplica)
-			rd.fillDone(l)
-			release()
+// readDone runs when a replica read has the data. A miss that issued a
+// speculative read issues no other, so the read is that one: it completes
+// the miss if the grant already waits for it.
+func (rd *ReplicaDir) readDone(m *coherence.Miss) {
+	if m.Spec() {
+		if m.SpecLanded() {
+			rd.fin(m, true)
 		}
-		if rd.oracular {
-			rd.oracleGETS(l, fin)
-			return
-		}
-		if rd.mode == Deny {
-			rd.denyGETS(l, fin)
-			return
-		}
-		rd.allowGETS(l, fin)
-	})
+		return
+	}
+	rd.fin(m, !m.Write())
 }
 
-func (rd *ReplicaDir) allowGETS(l topology.Line, fin func(bool)) {
+// fin completes a local miss at this socket's LLC, then wakes the home
+// probes deferred behind the fill and frees the line.
+func (rd *ReplicaDir) fin(m *coherence.Miss, fromReplica bool) {
+	l, release := m.Line(), m.AgentRelease()
+	if tr := rd.sys.Trace; tr != nil && !m.Write() {
+		if fromReplica {
+			tr.Point(telemetry.CompReplicaDir, rd.socket, "grant-replica", uint64(l))
+		} else {
+			tr.Point(telemetry.CompReplicaDir, rd.socket, "grant-home", uint64(l))
+		}
+	}
+	m.Complete(fromReplica)
+	rd.fillDone(l)
+	release()
+}
+
+// LocalGETS implements coherence.ReplicaAgent.
+func (rd *ReplicaDir) LocalGETS(m *coherence.Miss) {
+	rd.sequencer.Do("LocalGETS", m.Line(), m.Held(rd.steps.getsHeld))
+}
+
+func (rd *ReplicaDir) getsHeld(m *coherence.Miss) {
+	if rd.oracular {
+		rd.oracleGETS(m)
+		return
+	}
+	if rd.mode == Deny {
+		rd.denyGETS(m)
+		return
+	}
+	rd.allowGETS(m)
+}
+
+func (rd *ReplicaDir) allowGETS(m *coherence.Miss) {
+	l := m.Line()
 	cnt := rd.sys.Cnts[rd.socket]
 	if e := rd.store.Lookup(l); e != nil {
 		cnt.ReplicaDirHits++
@@ -209,106 +249,82 @@ func (rd *ReplicaDir) allowGETS(l topology.Line, fin func(bool)) {
 		// transaction completes without home involvement, so the deferral
 		// cannot deadlock against the home MSHR.
 		rd.fillPending.Allocate(l)
-		rd.readReplicaMem(l, func() { fin(true) })
+		rd.readReplicaMem(m)
 		return
 	}
 	if rd.sys.Cfg.CoarseGrain && rd.regions[rd.regionOf(l)] {
 		cnt.ReplicaDirHits++
 		rd.fillPending.Allocate(l)
-		rd.readReplicaMem(l, func() { fin(true) })
+		rd.readReplicaMem(m)
 		return
 	}
 	cnt.ReplicaDirMisses++
 	if rd.sys.Cfg.CoarseGrain {
-		rd.allowRegionMiss(l, fin)
+		rd.allowRegionMiss(m)
 		return
 	}
-	rd.allowLineMiss(l, fin)
-}
-
-// specJoin synchronizes a speculative replica read with the home grant: the
-// later of the two completes the request.
-type specJoin struct {
-	specDone  bool
-	waiting   bool
-	onSpec    func()
-	cancelled bool
-}
-
-func (j *specJoin) specLanded() {
-	j.specDone = true
-	if j.waiting && !j.cancelled {
-		j.onSpec()
-	}
+	rd.allowLineMiss(m)
 }
 
 // allowLineMiss pulls a read permission from the home directory, overlapping
 // a speculative local replica read with the round trip when enabled.
-func (rd *ReplicaDir) allowLineMiss(l topology.Line, fin func(bool)) {
-	cnt := rd.sys.Cnts[rd.socket]
-	spec := rd.sys.Cfg.SpeculativeReads
-	var join *specJoin
-	if spec {
-		cnt.SpecIssued++
-		join = &specJoin{}
-		rd.readReplicaMem(l, join.specLanded)
+func (rd *ReplicaDir) allowLineMiss(m *coherence.Miss) {
+	if rd.sys.Cfg.SpeculativeReads {
+		rd.sys.Cnts[rd.socket].SpecIssued++
+		m.IssueSpec()
+		rd.readReplicaMem(m)
 	}
-	rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
-		rd.home().ReplicaGETS(l, func(dataShipped bool) {
-			// Grant received: home has serialized us; probes sent by later
-			// home transactions must now wait for our fill.
-			rd.fillPending.Allocate(l)
-			rd.insertEntry(l, cache.Shared)
-			if dataShipped {
-				// Home LLC was dirty: the shipped data is also the replica
-				// update half of the dual writeback.
-				if spec {
-					cnt.SpecSquashed++
-					join.cancelled = true
-				}
-				rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
-				fin(false)
-				return
-			}
-			if spec {
-				if join.specDone {
-					fin(true) // fully overlapped
-					return
-				}
-				join.waiting = true
-				join.onSpec = func() { fin(true) }
-				return
-			}
-			rd.readReplicaMem(l, func() { fin(true) })
-		})
-	})
+	m.SendHome(rd.steps.allowGranted)
+}
+
+func (rd *ReplicaDir) allowGranted(m *coherence.Miss) {
+	l := m.Line()
+	// Grant received: home has serialized us; probes sent by later home
+	// transactions must now wait for our fill.
+	rd.fillPending.Allocate(l)
+	rd.insertEntry(l, cache.Shared)
+	if m.DataShipped() {
+		// Home LLC was dirty: the shipped data is also the replica update
+		// half of the dual writeback.
+		if m.Spec() {
+			rd.sys.Cnts[rd.socket].SpecSquashed++
+			m.SquashSpec()
+		}
+		rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
+		rd.fin(m, false)
+		return
+	}
+	if m.Spec() {
+		if m.AwaitSpec() {
+			rd.fin(m, true) // fully overlapped
+		}
+		return
+	}
+	rd.readReplicaMem(m)
 }
 
 // allowRegionMiss tries to obtain a coarse-grain region grant; on refusal it
 // falls back to a line grant.
-func (rd *ReplicaDir) allowRegionMiss(l topology.Line, fin func(bool)) {
-	region := rd.regionOf(l)
-	rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
-		granted := rd.home().GrantRegion(topology.Line(region*uint64(rd.sys.Cfg.RegionBytes)),
-			rd.sys.Cfg.RegionBytes/rd.sys.Cfg.LineSizeBytes)
-		rd.sys.Link.Send((rd.socket+1)%rd.sys.Cfg.Sockets, noc.CtrlBytes, func() {
-			if granted {
-				rd.regions[region] = true
-				rd.fillPending.Allocate(l)
-				rd.readReplicaMem(l, func() { fin(true) })
-				return
-			}
-			// A line in the region is writable on the home side: fall back.
-			rd.allowLineMiss(l, fin)
-		})
-	})
+func (rd *ReplicaDir) allowRegionMiss(m *coherence.Miss) {
+	m.AskRegion(rd.steps.regionAnswered)
 }
 
-func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
+func (rd *ReplicaDir) regionAnswered(m *coherence.Miss) {
+	if !m.RegionGranted() {
+		// A line in the region is writable on the home side: fall back.
+		rd.allowLineMiss(m)
+		return
+	}
+	l := m.Line()
+	rd.regions[rd.regionOf(l)] = true
+	rd.fillPending.Allocate(l)
+	rd.readReplicaMem(m)
+}
+
+func (rd *ReplicaDir) denyGETS(m *coherence.Miss) {
 	cnt := rd.sys.Cnts[rd.socket]
-	cachedEntry := rd.store.Lookup(l) != nil
+	cachedEntry := rd.store.Lookup(m.Line()) != nil
 	var entryLat sim.Cycle
-	spec := false
 	if cachedEntry {
 		cnt.ReplicaDirHits++
 	} else {
@@ -317,123 +333,126 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		// replica in parallel (Section V-C5).
 		entryLat = rd.dirFetchLat
 		if rd.sys.Cfg.SpeculativeReads {
-			spec = true
 			cnt.SpecIssued++
+			m.IssueSpec()
+			rd.readReplicaMem(m)
 		}
 	}
-	var join *specJoin
-	if spec {
-		join = &specJoin{}
-		rd.readReplicaMem(l, join.specLanded)
+	step := rd.steps.denyEntryMissed
+	if cachedEntry {
+		step = rd.steps.denyEntryCached
 	}
-	rd.sys.Engs[rd.socket].Schedule(entryLat, func() {
-		// Sample the durable entry when the fetch completes, not when it
-		// issues: a HomeInvalidate can land while the fetch (or the
-		// speculative read) is in flight, and its freshly installed RM
-		// must not be read stale here — nor clobbered with Shared below,
-		// which would let this socket fill a line the home side holds
-		// writable (an SWMR violation).
-		st := cache.Shared
-		if p := rd.backing.Get(l); p != nil {
-			st = *p
+	rd.sys.Engs[rd.socket].Schedule(entryLat, m.Then(step))
+}
+
+// denyEntry runs when the durable entry is at hand (cached: at once;
+// otherwise after the fetch from memory).
+func (rd *ReplicaDir) denyEntry(m *coherence.Miss, cachedEntry bool) {
+	l := m.Line()
+	// Sample the durable entry when the fetch completes, not when it
+	// issues: a HomeInvalidate can land while the fetch (or the
+	// speculative read) is in flight, and its freshly installed RM must
+	// not be read stale here — nor clobbered with Shared below, which
+	// would let this socket fill a line the home side holds writable (an
+	// SWMR violation).
+	st := cache.Shared
+	if p := rd.backing.Get(l); p != nil {
+		st = *p
+	}
+	if !cachedEntry {
+		rd.insertEntry(l, st)
+	}
+	if st == cache.RemoteModified {
+		// Replica is stale: the home LLC holds the line writable.
+		if m.Spec() {
+			rd.sys.Cnts[rd.socket].SpecSquashed++
+			m.SquashSpec()
 		}
-		if !cachedEntry {
-			rd.insertEntry(l, st)
+		m.SendHome(rd.steps.denyGranted)
+		return
+	}
+	// Absence (or S/M): the replica is current — read it locally with no
+	// link traffic at all. Home probes defer behind the in-flight fill (no
+	// home transaction involved: deadlock-free).
+	rd.fillPending.Allocate(l)
+	rd.backing.Set(l, cache.Shared)
+	if m.Spec() {
+		if m.AwaitSpec() {
+			rd.fin(m, true)
 		}
-		if st == cache.RemoteModified {
-			// Replica is stale: the home LLC holds the line writable.
-			if spec {
-				cnt.SpecSquashed++
-				join.cancelled = true
-			}
-			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
-				rd.home().ReplicaGETS(l, func(dataShipped bool) {
-					rd.fillPending.Allocate(l)
-					rd.backing.Set(l, cache.Shared)
-					rd.insertEntry(l, cache.Shared)
-					if dataShipped {
-						rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
-					}
-					fin(false)
-				})
-			})
-			return
-		}
-		// Absence (or S/M): the replica is current — read it locally with
-		// no link traffic at all. Home probes defer behind the in-flight
-		// fill (no home transaction involved: deadlock-free).
-		rd.fillPending.Allocate(l)
-		rd.backing.Set(l, cache.Shared)
-		if spec {
-			if join.specDone {
-				fin(true)
-				return
-			}
-			join.waiting = true
-			join.onSpec = func() { fin(true) }
-			return
-		}
-		rd.readReplicaMem(l, func() { fin(true) })
-	})
+		return
+	}
+	rd.readReplicaMem(m)
+}
+
+func (rd *ReplicaDir) denyGranted(m *coherence.Miss) {
+	l := m.Line()
+	rd.fillPending.Allocate(l)
+	rd.backing.Set(l, cache.Shared)
+	rd.insertEntry(l, cache.Shared)
+	if m.DataShipped() {
+		rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
+	}
+	rd.fin(m, false)
 }
 
 // oracleGETS models the oracular allow scheme of Fig 9: infinite entries and
 // zero-latency insertion. It consults home state with oracle knowledge; only
 // genuinely-required transfers (home-side dirty data) pay latency.
-func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
+func (rd *ReplicaDir) oracleGETS(m *coherence.Miss) {
+	l := m.Line()
 	cnt := rd.sys.Cnts[rd.socket]
 	st, owner, _ := rd.home().Entry(l)
 	homeSocket := (rd.socket + 1) % rd.sys.Cfg.Sockets
 	if (st == cache.Modified || st == cache.Owned) && owner == homeSocket {
 		cnt.ReplicaDirMisses++
-		rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
-			rd.home().ReplicaGETS(l, func(dataShipped bool) {
-				rd.fillPending.Allocate(l)
-				if dataShipped {
-					rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
-				}
-				fin(false)
-			})
-		})
+		m.SendHome(rd.steps.oracleGranted)
 		return
 	}
 	cnt.ReplicaDirHits++
 	rd.home().OracleAddSharer(l, rd.socket)
 	rd.fillPending.Allocate(l)
-	rd.readReplicaMem(l, func() { fin(true) })
+	rd.readReplicaMem(m)
+}
+
+func (rd *ReplicaDir) oracleGranted(m *coherence.Miss) {
+	l := m.Line()
+	rd.fillPending.Allocate(l)
+	if m.DataShipped() {
+		rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
+	}
+	rd.fin(m, false)
 }
 
 // LocalGETX implements coherence.ReplicaAgent: exclusive permission always
 // serializes at the home directory; when the home side holds no dirty copy
 // the grant is control-only and data comes from the local replica.
-func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
-	rd.sequencer.Do("LocalGETX", l, func(release func()) {
-		fin := func() {
-			done()
-			rd.fillDone(l)
-			release()
+func (rd *ReplicaDir) LocalGETX(m *coherence.Miss) {
+	rd.sequencer.Do("LocalGETX", m.Line(), m.Held(rd.steps.getxHeld))
+}
+
+func (rd *ReplicaDir) getxHeld(m *coherence.Miss) {
+	var entryLat sim.Cycle
+	if rd.mode == Deny && !rd.oracular {
+		if rd.store.Lookup(m.Line()) == nil {
+			entryLat = rd.dirFetchLat
 		}
-		var entryLat sim.Cycle
-		if rd.mode == Deny && !rd.oracular {
-			if rd.store.Lookup(l) == nil {
-				entryLat = rd.dirFetchLat
-			}
-		}
-		rd.sys.Engs[rd.socket].Schedule(entryLat, func() {
-			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
-				rd.home().ReplicaGETX(l, func(dataShipped bool) {
-					rd.fillPending.Allocate(l)
-					rd.recordOwnership(l)
-					if dataShipped || !needData {
-						fin()
-						return
-					}
-					// Replica memory is current: supply data locally.
-					rd.readReplicaMem(l, fin)
-				})
-			})
-		})
-	})
+	}
+	rd.sys.Engs[rd.socket].Schedule(entryLat, m.Then(rd.steps.getxEntry))
+}
+
+func (rd *ReplicaDir) getxEntry(m *coherence.Miss) { m.SendHome(rd.steps.getxGranted) }
+
+func (rd *ReplicaDir) getxGranted(m *coherence.Miss) {
+	l := m.Line()
+	rd.fillPending.Allocate(l)
+	rd.recordOwnership(l)
+	if m.DataShipped() || !m.NeedData() {
+		rd.fin(m, false)
+		return
+	}
+	// Replica memory is current: supply data locally.
+	rd.readReplicaMem(m)
 }
 
 func (rd *ReplicaDir) recordOwnership(l topology.Line) {
@@ -501,21 +520,15 @@ func (rd *ReplicaDir) fillDone(l topology.Line) {
 	}
 }
 
-// deferToFill queues fn behind an in-flight demand fill for the line; it
-// reports whether a fill was pending.
-func (rd *ReplicaDir) deferToFill(l topology.Line, fn func()) bool {
-	if !rd.fillPending.Busy(l) {
-		return false
-	}
-	rd.fillPending.Defer(l, fn)
-	return true
-}
-
 // HomeInvalidate implements coherence.ReplicaAgent: the home side is taking
 // exclusive access. Allow: drop the entry (and any covering region). Deny:
 // install the durable RM state. Either way replica-side LLC copies die.
 func (rd *ReplicaDir) HomeInvalidate(l topology.Line, ack func()) {
-	if rd.deferToFill(l, func() { rd.HomeInvalidate(l, ack) }) {
+	if rd.fillPending.Busy(l) {
+		// Wait for the in-flight demand fill. The retry closure is built
+		// only here: built up front it would cost every probe an
+		// allocation.
+		rd.fillPending.Defer(l, func() { rd.HomeInvalidate(l, ack) })
 		return
 	}
 	lat := sim.Cycle(rd.sys.Cfg.DirLatencyCyc)
@@ -561,7 +574,8 @@ func (rd *ReplicaDir) HomeUndeny(l topology.Line) {
 // HomeFetch implements coherence.ReplicaAgent: retrieve dirty data from this
 // socket's LLC on behalf of the home directory.
 func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
-	if rd.deferToFill(l, func() { rd.HomeFetch(l, invalidate, ack) }) {
+	if rd.fillPending.Busy(l) {
+		rd.fillPending.Defer(l, func() { rd.HomeFetch(l, invalidate, ack) })
 		return
 	}
 	lat := sim.Cycle(rd.sys.Cfg.DirLatencyCyc + rd.sys.Cfg.LLCLatencyCyc)
