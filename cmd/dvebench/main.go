@@ -29,7 +29,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "result cache directory (empty = no caching)")
 		minHit   = flag.Float64("min-cache-hit", 0, "fail if the cache hit rate ends below this fraction (CI guard)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
+		memProf  = flag.String("memprofile", "", "write a heap profile recording every allocation to this file on exit (exact -sample_index=alloc_objects counts)")
 	)
 	flag.Parse()
 
@@ -38,11 +38,11 @@ func main() {
 		fatal(err)
 	}
 	defer stopCPU()
-	defer func() {
-		if err := perf.WriteHeapProfile(*memProf); err != nil {
-			fatal(err)
-		}
-	}()
+	stopMem, err := perf.StartMemProfile(*memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopMem()
 
 	r := experiments.Runner{Parallelism: *parallel}
 	r.Scale, err = experiments.ScaleByName(*scale)

@@ -36,7 +36,7 @@ func main() {
 		baseCmp = flag.Bool("speedup", false, "also run the baseline and report speedup")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
+		memProf = flag.String("memprofile", "", "write a heap profile recording every allocation to this file on exit (exact -sample_index=alloc_objects counts)")
 		traceEv = flag.String("trace-events", "", "write a Chrome trace-event JSON timeline (open in Perfetto) to this file")
 	)
 	flag.Parse()
@@ -46,11 +46,11 @@ func main() {
 		fatal(err)
 	}
 	defer stopCPU()
-	defer func() {
-		if err := perf.WriteHeapProfile(*memProf); err != nil {
-			fatal(err)
-		}
-	}()
+	stopMem, err := perf.StartMemProfile(*memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopMem()
 
 	if *list {
 		for _, s := range workload.Suite(16) {

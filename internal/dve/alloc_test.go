@@ -75,8 +75,8 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			perOp := (float64(b) - float64(a)) / float64(big-small)
 			t.Logf("%s: %d allocs at %d ops, %d at %d: %.4f allocs/op at the margin",
 				c.name, a, warmup+small, b, warmup+big, perOp)
-			if perOp >= 0.05 {
-				t.Fatalf("%s: %.4f allocs/op at the margin, want < 0.05", c.name, perOp)
+			if perOp >= 0.01 {
+				t.Fatalf("%s: %.4f allocs/op at the margin, want < 0.01", c.name, perOp)
 			}
 		})
 	}

@@ -31,20 +31,31 @@ func StartCPUProfile(path string) (stop func(), err error) {
 	}, nil
 }
 
-// WriteHeapProfile writes a post-GC heap profile to path; an empty path is
-// a no-op.
-func WriteHeapProfile(path string) error {
+// StartMemProfile turns on exact allocation profiling and returns the
+// function that writes the heap profile to path. It sets
+// runtime.MemProfileRate to 1, so every allocation from here on is
+// recorded and `go tool pprof -sample_index=alloc_objects` reports exact
+// counts rather than one sample per 512 KB. Call it before the work to be
+// profiled. The profile is written after a GC, so the in-use view shows
+// live objects, not transient garbage. An empty path is a no-op (stop is
+// still non-nil); the rate changes only what is recorded, never a result.
+func StartMemProfile(path string) (stop func(), err error) {
 	if path == "" {
-		return nil
+		return func() {}, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("perf: heap profile: %w", err)
+		return nil, fmt.Errorf("perf: heap profile: %w", err)
 	}
-	defer f.Close()
-	runtime.GC() // report live objects, not transient garbage
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return fmt.Errorf("perf: heap profile: %w", err)
-	}
-	return nil
+	runtime.MemProfileRate = 1
+	return func() {
+		runtime.GC()
+		err := pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "perf: heap profile: %v\n", err)
+		}
+	}, nil
 }

@@ -93,3 +93,25 @@ func TestDaemonScheduleSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state daemon scheduling allocated %.2f times per batch, want 0", allocs)
 	}
 }
+
+// TestFreshEngineAllocs pins the cost of a new engine's first pass over its
+// ring: building an engine, putting one event in each of the ringSize
+// buckets and running them must allocate a handful of objects (the engine
+// itself and the node slab's log2 growth), not one bucket backing array
+// per first-touched bucket.
+func TestFreshEngineAllocs(t *testing.T) {
+	var total uint64
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for d := Cycle(0); d < ringSize; d++ {
+			e.ScheduleFn(d, addHandler, &total, 1)
+		}
+		e.Run()
+	})
+	if allocs > 32 {
+		t.Fatalf("fresh engine: %.0f allocations to fill and drain every bucket once, want <= 32", allocs)
+	}
+	if total == 0 {
+		t.Fatal("handler never ran")
+	}
+}

@@ -20,11 +20,17 @@
 //     before any same-cycle event can be scheduled directly, so bucket
 //     insertion order always equals sequence order.
 //
-// Events are stored by value in the bucket slices and the heap; the slices
-// retain their capacity across drain/refill cycles (a per-bucket free list),
-// so in steady state Schedule and Run perform no heap allocations. An
-// occupancy bitmap over the buckets makes "find the next non-empty bucket" a
-// handful of word scans instead of a per-cycle walk.
+// Ring events live in one pooled node slab. Each bucket is a FIFO list of
+// slab indices (first/last arrays inline in the Engine, index+1 with 0 for
+// empty), so appending to a bucket and popping its head are O(1) and touch
+// no per-bucket storage. A ring node carries no time and no sequence
+// number: its bucket gives its cycle and its place in the list its order.
+// Popped nodes go on a LIFO free list threaded through the same next
+// field, and the slab grows by append only when that list is empty, so a
+// run allocates about log2(peak pending) times and the steady state none.
+// Overflow events are stored by value in the heap with their (when, seq).
+// An occupancy bitmap over the buckets makes "find the next non-empty
+// bucket" a handful of word scans instead of a per-cycle walk.
 package sim
 
 import "math/bits"
@@ -45,16 +51,24 @@ const (
 	ringWords = ringSize / 64 // occupancy bitmap words
 )
 
-// event is one queue entry, stored by value. The closure API (Schedule et
-// al.) is expressed on top of the typed form: the func() rides in arg and a
-// shared adapter invokes it, so both APIs share one representation.
-type event struct {
-	when   Cycle
-	seq    uint64
+// node is one ring entry in the slab. The closure API (Schedule et al.) is
+// expressed on top of the typed form: the func() rides in arg and a shared
+// adapter invokes it, so both APIs share one representation. next links
+// the node into its bucket's list or the free list (index+1, 0 = end).
+type node struct {
 	h      Handler
 	arg    any
 	v      uint64
+	next   int32
 	daemon bool
+}
+
+// event is one overflow-heap entry: a node with the time and sequence
+// number the heap orders by.
+type event struct {
+	when Cycle
+	seq  uint64
+	node
 }
 
 func eventLess(a, b *event) bool {
@@ -77,13 +91,18 @@ type Engine struct {
 	// Near-future calendar ring. Invariants: ringBase <= now whenever
 	// control is outside pop; every ring event has when in
 	// [ringBase, ringBase+ringSize); bucket s is either active
-	// (head[s] < len(ring[s]), occupancy bit set) or empty
-	// (len == head == 0, bit clear).
+	// (first[s] != 0, last[s] names its tail node, occupancy bit set) or
+	// empty (first[s] == last[s] == 0, bit clear).
 	ringBase  Cycle
 	ringCount int
-	ring      [][]event
-	head      []int
+	first     [ringSize]int32
+	last      [ringSize]int32
 	occ       [ringWords]uint64
+
+	// nodes is the slab every ring event lives in; free heads the list of
+	// popped nodes (index+1, 0 = empty).
+	nodes []node
+	free  int32
 
 	// Far-future overflow min-heap on (when, seq). Invariant: no overflow
 	// event has when < ringBase+ringSize (eligible events migrate the
@@ -106,12 +125,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with an empty event queue at cycle 0.
-func NewEngine() *Engine {
-	return &Engine{
-		ring: make([][]event, ringSize),
-		head: make([]int, ringSize),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -188,15 +202,14 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run() Cycle {
 	e.stopped = false
 	for e.size > 0 && e.demand > 0 && !e.stopped {
-		ev, _ := e.pop(0, false)
-		if !ev.daemon {
+		n, _ := e.pop(0, false)
+		if !n.daemon {
 			e.demand--
 		}
-		e.now = ev.when
 		if e.OnDispatch != nil {
 			e.OnDispatch(e.now, e.size)
 		}
-		ev.h(ev.arg, ev.v)
+		n.h(n.arg, n.v)
 	}
 	return e.now
 }
@@ -207,19 +220,18 @@ func (e *Engine) Run() Cycle {
 func (e *Engine) RunUntil(limit Cycle) Cycle {
 	e.stopped = false
 	for e.size > 0 && !e.stopped {
-		ev, ok := e.pop(limit, true)
+		n, ok := e.pop(limit, true)
 		if !ok {
 			e.now = limit
 			return e.now
 		}
-		if !ev.daemon {
+		if !n.daemon {
 			e.demand--
 		}
-		e.now = ev.when
 		if e.OnDispatch != nil {
 			e.OnDispatch(e.now, e.size)
 		}
-		ev.h(ev.arg, ev.v)
+		n.h(n.arg, n.v)
 	}
 	if e.now < limit {
 		e.now = limit
@@ -227,52 +239,63 @@ func (e *Engine) RunUntil(limit Cycle) Cycle {
 	return e.now
 }
 
-// push enqueues an event, assigning the next sequence number. Callers
-// guarantee when >= e.now, which (with the ringBase <= now invariant) means
-// the event is never earlier than the window start.
+// push enqueues an event. Callers guarantee when >= e.now, which (with the
+// ringBase <= now invariant) means the event is never earlier than the
+// window start.
 func (e *Engine) push(when Cycle, h Handler, arg any, v uint64, daemon bool) {
 	if e.size == 0 && e.now > e.ringBase {
 		// Empty queue: re-anchor the window at the present so the new
 		// event (and its successors) land in the ring, not the heap.
 		e.ringBase = e.now
 	}
-	e.seq++
-	ev := event{when: when, seq: e.seq, h: h, arg: arg, v: v, daemon: daemon}
 	e.size++
+	n := node{h: h, arg: arg, v: v, daemon: daemon}
 	if when < e.ringBase+ringSize {
-		e.ringPut(ev)
-	} else {
-		e.heapPush(ev)
+		e.ringPut(when, n)
+		return
 	}
+	// Only the heap needs sequence numbers: ring order is list order.
+	e.seq++
+	e.heapPush(event{when: when, seq: e.seq, node: n})
 }
 
-// ringPut appends the event to its one-cycle bucket.
-func (e *Engine) ringPut(ev event) {
-	s := int(ev.when) & ringMask
-	if e.head[s] == len(e.ring[s]) {
-		// Bucket empty: (re)start it and mark it occupied.
-		e.ring[s] = e.ring[s][:0]
-		e.head[s] = 0
+// ringPut stores n in a slab node and appends it to the tail of cycle
+// when's bucket.
+func (e *Engine) ringPut(when Cycle, n node) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i-1].next
+		e.nodes[i-1] = n
+	} else {
+		e.nodes = append(e.nodes, n)
+		i = int32(len(e.nodes))
+	}
+	s := int(when) & ringMask
+	if t := e.last[s]; t != 0 {
+		e.nodes[t-1].next = i
+	} else {
+		// Bucket empty: start it and mark it occupied.
+		e.first[s] = i
 		e.occ[s>>6] |= 1 << uint(s&63)
 	}
-	e.ring[s] = append(e.ring[s], ev)
+	e.last[s] = i
 	e.ringCount++
 }
 
-// pop removes and returns the earliest pending event in (when, seq) order.
-// When bounded, events with when > limit stay queued and ok=false is
-// returned (with the window advanced to limit so later pushes keep the ring
-// invariants).
-func (e *Engine) pop(limit Cycle, bounded bool) (ev event, ok bool) {
+// pop removes the earliest pending event in (when, seq) order, advances the
+// clock to its cycle and returns it. When bounded, events with when > limit
+// stay queued and ok=false is returned (with the window advanced to limit
+// so later pushes keep the ring invariants).
+func (e *Engine) pop(limit Cycle, bounded bool) (n node, ok bool) {
 	if e.size == 0 {
-		return event{}, false
+		return node{}, false
 	}
 	if e.ringCount == 0 {
 		// Ring idle: jump the window straight to the earliest far-future
 		// event instead of scanning empty buckets.
 		if bounded && e.overflow[0].when > limit {
 			e.advanceBase(limit)
-			return event{}, false
+			return node{}, false
 		}
 		e.ringBase = e.overflow[0].when
 		e.migrate()
@@ -280,22 +303,23 @@ func (e *Engine) pop(limit Cycle, bounded bool) (ev event, ok bool) {
 	c := e.nextEventCycle()
 	if bounded && c > limit {
 		e.advanceBase(limit)
-		return event{}, false
+		return node{}, false
 	}
 	e.advanceBase(c)
 	s := int(c) & ringMask
-	h := e.head[s]
-	ev = e.ring[s][h]
-	e.ring[s][h] = event{} // release arg/handler references
-	e.head[s] = h + 1
-	if e.head[s] == len(e.ring[s]) {
-		e.ring[s] = e.ring[s][:0]
-		e.head[s] = 0
+	i := e.first[s]
+	p := &e.nodes[i-1]
+	n = *p
+	if e.first[s] = n.next; n.next == 0 {
+		e.last[s] = 0
 		e.occ[s>>6] &^= 1 << uint(s&63)
 	}
+	*p = node{next: e.free} // release arg/handler references
+	e.free = i
 	e.ringCount--
 	e.size--
-	return ev, true
+	e.now = c
+	return n, true
 }
 
 // advanceBase moves the window start forward to c and migrates any overflow
@@ -315,7 +339,8 @@ func (e *Engine) advanceBase(c Cycle) {
 func (e *Engine) migrate() {
 	horizon := e.ringBase + ringSize
 	for len(e.overflow) > 0 && e.overflow[0].when < horizon {
-		e.ringPut(e.heapPop())
+		ev := e.heapPop()
+		e.ringPut(ev.when, ev.node)
 	}
 }
 
