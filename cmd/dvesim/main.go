@@ -1,5 +1,6 @@
 // Command dvesim runs one benchmark under one protocol configuration and
-// prints detailed statistics.
+// prints detailed statistics. A run that ends with coherence invariant
+// violations prints them to standard error and exits 1.
 //
 // Usage:
 //
@@ -99,6 +100,20 @@ func main() {
 		}
 		fmt.Printf("trace: %d events -> %s (dropped %d)\n",
 			tracer.Events(), *traceEv, tracer.Dropped())
+	}
+	if n := len(res.InvariantViolations); n > 0 {
+		// The statistics above come from a run that broke a coherence
+		// invariant; exiting 1 keeps a script from taking them as valid.
+		fmt.Fprintf(os.Stderr, "dvesim: the run ended with %d coherence invariant violations:\n", n)
+		for _, v := range res.InvariantViolations[:min(n, 5)] {
+			fmt.Fprintln(os.Stderr, "  "+v)
+		}
+		if n > 5 {
+			fmt.Fprintf(os.Stderr, "  ... and %d more\n", n-5)
+		}
+		stopMem()
+		stopCPU()
+		os.Exit(1)
 	}
 
 	if *baseCmp && p != topology.ProtoBaseline {

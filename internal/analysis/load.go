@@ -63,9 +63,6 @@ func NewLoader(root, modulePath string) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor resolves an import path to a source directory, or "" if the path
 // is not ours (i.e. standard library).
 func (l *Loader) dirFor(path string) string {

@@ -14,12 +14,11 @@ import (
 // scheduleMethods are the sim.Engine methods that defer a callback into the
 // event queue: the closure entry points and their typed Fn fast paths.
 var scheduleMethods = map[string]bool{
-	"Schedule":         true,
-	"ScheduleFn":       true,
-	"ScheduleDaemon":   true,
-	"ScheduleDaemonFn": true,
-	"At":               true,
-	"AtFn":             true,
+	"Schedule":       true,
+	"ScheduleFn":     true,
+	"ScheduleDaemon": true,
+	"At":             true,
+	"AtFn":           true,
 }
 
 // crossMethods are the sim.ParallelEngine cross-partition scheduling entry

@@ -27,9 +27,6 @@ func (e *Engine) At(when Cycle, fn func()) {}
 // ScheduleFn mirrors the typed fast path of Schedule.
 func (e *Engine) ScheduleFn(delay Cycle, h Handler, arg any, v uint64) {}
 
-// ScheduleDaemonFn mirrors the typed fast path of ScheduleDaemon.
-func (e *Engine) ScheduleDaemonFn(delay Cycle, h Handler, arg any, v uint64) {}
-
 // AtFn mirrors the typed fast path of At.
 func (e *Engine) AtFn(when Cycle, h Handler, arg any, v uint64) {}
 

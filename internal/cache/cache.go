@@ -96,8 +96,8 @@ func New(sizeBytes, ways, lineBytes int) *Cache {
 
 // NewFullyAssoc builds a fully associative structure with the given number
 // of entries (used for the replica directory: "fully associative 2K entry
-// structure", Section VI). Lookup, Peek, Insert, Invalidate, VictimFor and
-// Clear run in O(1) through an index (fullyassoc.go) and pick the same
+// structure", Section VI). Lookup, Peek, Insert, Invalidate and Clear run
+// in O(1) through an index (fullyassoc.go) and pick the same
 // victims as a linear LRU scan. The index relies on one contract: an
 // entry's State becomes Invalid only through Invalidate or Clear, and its
 // Line never changes, so a caller (or a ForEach callback) must not write
@@ -204,39 +204,6 @@ func (c *Cache) Insert(l topology.Line, s State) (e *Entry, victim Entry, ok boo
 	return &set[vi], victim, true
 }
 
-// VictimFor returns a copy of the entry that Insert would evict for line l,
-// without modifying the cache. ok is false when no eviction would occur.
-func (c *Cache) VictimFor(l topology.Line) (victim Entry, ok bool) {
-	if c.fa != nil {
-		if len(c.fa.free) > 0 || c.fa.find(l) >= 0 {
-			return Entry{}, false
-		}
-		return c.fa.slots[c.fa.head], true
-	}
-	si := c.setOf(l)
-	set := c.sets[si]
-	for i := range set {
-		if set[i].Line == l && set[i].State != Invalid {
-			return Entry{}, false
-		}
-	}
-	for i := range set {
-		if set[i].State == Invalid {
-			return Entry{}, false
-		}
-	}
-	if len(set) < c.ways {
-		return Entry{}, false
-	}
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	return set[vi], true
-}
-
 // Invalidate removes a line; it reports whether the line was present.
 func (c *Cache) Invalidate(l topology.Line) bool {
 	if c.fa != nil {
@@ -250,23 +217,6 @@ func (c *Cache) Invalidate(l topology.Line) bool {
 		}
 	}
 	return false
-}
-
-// Occupancy returns the number of valid entries (O(capacity) unless fully
-// associative; intended for tests and occasional stats, not hot paths).
-func (c *Cache) Occupancy() int {
-	if c.fa != nil {
-		return c.Capacity - len(c.fa.free)
-	}
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].State != Invalid {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // ForEach calls fn for every valid entry; fn may mutate the entry. If fn

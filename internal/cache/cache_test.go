@@ -43,24 +43,6 @@ func TestInsertEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestVictimForMatchesInsert(t *testing.T) {
-	c := New(128, 2, 64)
-	c.Insert(line(0), Shared)
-	c.Insert(line(1), Shared)
-	v, ok := c.VictimFor(line(2))
-	if !ok || v.Line != line(0) {
-		t.Fatalf("VictimFor = %v/%v, want line 0", v.Line, ok)
-	}
-	_, victim, ok2 := c.Insert(line(2), Shared)
-	if !ok2 || victim.Line != v.Line {
-		t.Fatal("VictimFor disagreed with Insert")
-	}
-	// Already-present or free-slot cases produce no victim.
-	if _, ok := c.VictimFor(line(2)); ok {
-		t.Fatal("VictimFor on resident line should report no victim")
-	}
-}
-
 // TestSetsShareOneBacking pins New's layout: every set is a window of one
 // backing array, capped at its own ways, so filling a set never writes into
 // its neighbour.
@@ -102,8 +84,8 @@ func TestInsertExistingUpgrades(t *testing.T) {
 	if e.State != Modified {
 		t.Fatalf("state = %v, want M", e.State)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d, want 1", c.Occupancy())
+	if occupancy(c) != 1 {
+		t.Fatalf("occupancy = %d, want 1", occupancy(c))
 	}
 }
 
@@ -126,8 +108,8 @@ func TestFullyAssoc(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		c.Insert(line(i*1000), Shared) // wildly different sets if indexed
 	}
-	if c.Occupancy() != 4 {
-		t.Fatalf("occupancy = %d, want 4", c.Occupancy())
+	if occupancy(c) != 4 {
+		t.Fatalf("occupancy = %d, want 4", occupancy(c))
 	}
 	_, victim, ok := c.Insert(line(9999), Shared)
 	if !ok || victim.Line != line(0) {
@@ -151,7 +133,7 @@ func TestForEachAndClear(t *testing.T) {
 		t.Fatalf("ForEach early-stop visited %d, want 1", n)
 	}
 	c.Clear()
-	if c.Occupancy() != 0 {
+	if occupancy(c) != 0 {
 		t.Fatal("Clear left valid entries")
 	}
 }
@@ -193,7 +175,7 @@ func TestCapacityProperty(t *testing.T) {
 			if c.Peek(l) == nil {
 				return false
 			}
-			if c.Occupancy() > c.Capacity {
+			if occupancy(c) > c.Capacity {
 				return false
 			}
 		}
@@ -329,13 +311,6 @@ func (r *linearFA) insert(l topology.Line, s State) (*Entry, Entry, bool) {
 	return &r.set[vi], victim, true
 }
 
-func (r *linearFA) victimFor(l topology.Line) (Entry, bool) {
-	if r.find(l) >= 0 || r.occupancy() < r.ways {
-		return Entry{}, false
-	}
-	return r.set[r.lru()], true
-}
-
 func (r *linearFA) invalidate(l topology.Line) bool {
 	if i := r.find(l); i >= 0 {
 		r.set[i].State = Invalid
@@ -358,6 +333,16 @@ func (r *linearFA) clear() {
 	for i := range r.set {
 		r.set[i].State = Invalid
 	}
+}
+
+// occupancy counts c's valid entries.
+func occupancy(c *Cache) int {
+	if c.fa != nil {
+		return c.Capacity - len(c.fa.free)
+	}
+	n := 0
+	c.ForEach(func(*Entry) bool { n++; return true })
+	return n
 }
 
 // public drops the unexported LRU tick, which only the reference keeps.
@@ -414,12 +399,6 @@ func TestFullyAssocMatchesLinearScan(t *testing.T) {
 				if gok != wok || public(gv) != public(wv) {
 					t.Fatalf("%s victim = %+v/%v, want %+v/%v", where("Insert"), gv, gok, wv, wok)
 				}
-			case k < 94:
-				gv, gok := c.VictimFor(l)
-				wv, wok := ref.victimFor(l)
-				if gok != wok || public(gv) != public(wv) {
-					t.Fatalf("%s = %+v/%v, want %+v/%v", where("VictimFor"), gv, gok, wv, wok)
-				}
 			default:
 				if got, want := c.Invalidate(l), ref.invalidate(l); got != want {
 					t.Fatalf("%s = %v, want %v", where("Invalidate"), got, want)
@@ -429,7 +408,7 @@ func TestFullyAssocMatchesLinearScan(t *testing.T) {
 				t.Fatalf("%s: hits/misses/evicts %d/%d/%d, want %d/%d/%d", where("after"),
 					c.Hits, c.Misses, c.Evicts, ref.hits, ref.misses, ref.evicts)
 			}
-			if got, want := c.Occupancy(), ref.occupancy(); got != want {
+			if got, want := occupancy(c), ref.occupancy(); got != want {
 				t.Fatalf("%s: occupancy %d, want %d", where("after"), got, want)
 			}
 			if testing.Short() && step%64 != 0 && step != ops-1 {
@@ -522,7 +501,7 @@ func TestMSHRReentrantWaiters(t *testing.T) {
 	for _, w := range m.Release(l) {
 		w()
 	}
-	if m.Busy(l) || m.Inflight() != 0 {
+	if m.Busy(l) || m.waiters.Len() != 0 {
 		t.Fatal("line still busy after both generations released")
 	}
 	want := []string{"a0", "a1", "a2", "b0", "b1", "b2", "b3", "b4"}

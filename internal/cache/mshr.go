@@ -49,6 +49,3 @@ func (m *MSHR) Release(l topology.Line) []func() {
 	}
 	return waiters
 }
-
-// Inflight returns the number of lines with outstanding transactions.
-func (m *MSHR) Inflight() int { return m.waiters.Len() }

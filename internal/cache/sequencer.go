@@ -54,9 +54,6 @@ func NewSequencer(eng *sim.Engine, lat sim.Cycle, comp telemetry.Component, sock
 	return &Sequencer{eng: eng, lat: lat, mshr: NewMSHR(), comp: comp, socket: socket}
 }
 
-// MSHR returns the underlying MSHR table.
-func (q *Sequencer) MSHR() *MSHR { return q.mshr }
-
 // Do schedules fn to run on the line after the access latency, serialized
 // against any in-flight transaction on the same line. name labels the
 // transaction's trace span.

@@ -41,8 +41,8 @@ func TestSequencerSerializesPerLine(t *testing.T) {
 			t.Fatalf("ran %v, want %v (same-line txn must wait for release; other lines must not)", order, want)
 		}
 	}
-	if q.MSHR().Inflight() != 0 {
-		t.Fatalf("%d lines still in flight after all releases", q.MSHR().Inflight())
+	if q.mshr.waiters.Len() != 0 {
+		t.Fatalf("%d lines still in flight after all releases", q.mshr.waiters.Len())
 	}
 }
 
@@ -142,8 +142,8 @@ func TestSequencerContendedFIFO(t *testing.T) {
 	if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
 		t.Fatalf("ran %v, want [0 1 2 3 4 5]", order)
 	}
-	if q.MSHR().Inflight() != 0 {
-		t.Fatalf("%d lines still in flight after all releases", q.MSHR().Inflight())
+	if q.mshr.waiters.Len() != 0 {
+		t.Fatalf("%d lines still in flight after all releases", q.mshr.waiters.Len())
 	}
 }
 
@@ -160,7 +160,7 @@ func TestSequencerTracedSpans(t *testing.T) {
 	l := topology.Line(64)
 	eventsAtWake := -1
 	q.Do("GETS", l, func(release func()) {
-		q.MSHR().Defer(l, func() { eventsAtWake = tr.Events() })
+		q.mshr.Defer(l, func() { eventsAtWake = tr.Events() })
 		eng.Schedule(50, release) // hold the line
 	})
 	q.Do("GETX", l, func(release func()) { release() })

@@ -110,10 +110,6 @@ func (d *HomeDir) Entry(l topology.Line) (state cache.State, owner int, sharers 
 	return e.state, int(e.owner), e.sharers
 }
 
-// DegradedLines returns how many lines are in the degraded (single-copy)
-// state.
-func (d *HomeDir) DegradedLines() int { return len(d.degraded) }
-
 // HasLine reports whether the directory has ever tracked the line — i.e.
 // some core actually touched it. Adversarial campaigns prefer placing
 // victim-row bitflips on tracked lines so the flips are observable by

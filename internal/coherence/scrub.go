@@ -35,8 +35,8 @@ func NewScrubber(sys *System, interval sim.Cycle, batch int) *Scrubber {
 }
 
 // Start arms one patrol daemon per socket; each walks its own socket's
-// directory on its own partition and runs until Stop (or the end of the
-// simulation) without keeping the run alive.
+// directory on its own partition and runs until the end of the simulation
+// without keeping the run alive.
 func (s *Scrubber) Start() {
 	if s.running {
 		return
@@ -54,9 +54,6 @@ func (s *Scrubber) arm(di int) {
 
 // tick scrubs one batch of socket di's directory.
 func (s *Scrubber) tick(di int) {
-	if !s.running {
-		return
-	}
 	// Re-arm before issuing the batch: the next tick is then sequenced
 	// after every event this batch schedules at the same future cycle, so
 	// repairs triggered by this interval's patrol reads are already applied
@@ -75,11 +72,6 @@ func (s *Scrubber) tick(di int) {
 		d.Scrub(l)
 	}
 }
-
-// Stop disarms the patrol daemon: the pending tick becomes a no-op and no
-// further ticks are scheduled. Campaign teardown uses this so a finished
-// run leaves no active patrol behind; Start re-arms.
-func (s *Scrubber) Stop() { s.running = false }
 
 // Scrub re-reads one line through the detection/recovery path. Errors found
 // are corrected from the replica and the home copy repaired, exactly like a

@@ -158,9 +158,11 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 		gen = g
 	}
 	cfg := rc.Cfg
-	// Auto-scale the dynamic protocol's sampling to the run length: the
-	// paper profiles each scheme for 100M instructions every 1B (a 1:10
-	// ratio); we sample 1/20 of the ROI per scheme each quarter-ROI epoch.
+	// Auto-scale the dynamic protocol's sampling to the run length. Each
+	// cycle samples each scheme for 1/20 of the ROI, then runs the winner
+	// for a quarter-ROI epoch, so 1/7 of the ops (1/20 of every 7/20) run
+	// under the losing scheme. This is not the paper's 1:10 ratio (each
+	// scheme profiled for 100M instructions every 1B).
 	if cfg.SampleOps == 0 {
 		cfg.SampleOps = rc.MeasureOps / 20
 		if cfg.SampleOps == 0 {

@@ -174,7 +174,12 @@ func TestResultCarriesMetricsSnapshot(t *testing.T) {
 	if len(res.Metrics) == 0 {
 		t.Fatal("result has no metrics snapshot")
 	}
-	v, ok := res.Metrics.Get("dve_ops_total")
+	v, ok := 0.0, false
+	for _, s := range res.Metrics {
+		if s.Name == "dve_ops_total" {
+			v, ok = s.Value, true
+		}
+	}
 	if !ok {
 		t.Fatal("snapshot missing dve_ops_total")
 	}

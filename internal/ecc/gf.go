@@ -1,8 +1,7 @@
-// Package ecc implements the error-control codes Dvé builds on: Galois-field
-// arithmetic, Hamming SEC-DED (72,64), Reed–Solomon codes over GF(2^8) used
-// for Chipkill-style SSC-DSD correction and for detection-only DSD, a
-// GF(2^16) Reed–Solomon detection code for TSD (as in Multi-ECC), and the
-// DDR4 bus CRC-16. The fault package injects component failures into
+// Package ecc implements the detection codes Dvé builds on: Galois-field
+// arithmetic, the RS(18,16) Reed–Solomon code over GF(2^8) used as the
+// detection-only DSD code, and a GF(2^16) Reed–Solomon detection code for
+// TSD (as in Multi-ECC). The fault package injects symbol errors into
 // codewords encoded with these codecs to measure detection coverage
 // empirically.
 package ecc
@@ -32,9 +31,6 @@ func NewGF256() *GF256 {
 	return f
 }
 
-// Add returns a+b (XOR in characteristic 2).
-func (f *GF256) Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b.
 func (f *GF256) Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -43,20 +39,6 @@ func (f *GF256) Mul(a, b byte) byte {
 	return f.exp[f.log[a]+f.log[b]]
 }
 
-// Div returns a/b; it panics on division by zero.
-func (f *GF256) Div(a, b byte) byte {
-	if b == 0 {
-		panic("ecc: GF256 division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return f.exp[f.log[a]-f.log[b]+255]
-}
-
-// Inv returns the multiplicative inverse; it panics on zero.
-func (f *GF256) Inv(a byte) byte { return f.Div(1, a) }
-
 // Exp returns alpha^n for the primitive element alpha.
 func (f *GF256) Exp(n int) byte {
 	n %= 255
@@ -64,14 +46,6 @@ func (f *GF256) Exp(n int) byte {
 		n += 255
 	}
 	return f.exp[n]
-}
-
-// Log returns log_alpha(a); it panics on zero.
-func (f *GF256) Log(a byte) int {
-	if a == 0 {
-		panic("ecc: log of zero")
-	}
-	return f.log[a]
 }
 
 // GF16b is the field GF(2^16) with primitive polynomial

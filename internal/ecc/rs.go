@@ -2,9 +2,9 @@ package ecc
 
 // RS256 is a systematic Reed–Solomon code over GF(2^8) with n total symbols
 // and k data symbols (r = n-k check symbols). RS(18,16) with one symbol per
-// DRAM chip is the Chipkill-style SSC-DSD configuration of Virtualized ECC
-// the paper uses as its baseline; the same machinery with decode disabled is
-// the DSD detection-only code.
+// DRAM chip has the geometry of the Chipkill-style SSC-DSD code of
+// Virtualized ECC the paper uses as its baseline; used for detection only,
+// it is Dvé's DSD code.
 type RS256 struct {
 	f   *GF256
 	n   int
@@ -31,12 +31,6 @@ func NewRS256(n, k int) *RS256 {
 	}
 	return &RS256{f: f, n: n, k: k, gen: gen}
 }
-
-// N and K report the code geometry.
-func (r *RS256) N() int { return r.n }
-
-// K reports the data symbol count.
-func (r *RS256) K() int { return r.k }
 
 // Encode returns the n-symbol codeword data||parity. len(data) must be k.
 func (r *RS256) Encode(data []byte) []byte {
@@ -93,47 +87,6 @@ func (r *RS256) Detect(cw []byte) bool {
 	return false
 }
 
-// DecodeSSC attempts single-symbol correction (Chipkill): a single erroneous
-// symbol of any pattern is repaired in place; inconsistent syndromes are
-// reported as Detected. The returned slice aliases cw.
-func (r *RS256) DecodeSSC(cw []byte) ([]byte, Outcome) {
-	syn := r.Syndromes(cw)
-	allZero := true
-	for _, s := range syn {
-		if s != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		return cw[:r.k], OK
-	}
-	// Single-error hypothesis: S_j = e * alpha^(j*p) with p the error
-	// location as a power of x.
-	if syn[0] == 0 {
-		return cw[:r.k], Detected
-	}
-	e := syn[0]
-	p := 0
-	if len(syn) > 1 {
-		if syn[1] == 0 {
-			return cw[:r.k], Detected
-		}
-		p = (r.f.Log(syn[1]) - r.f.Log(syn[0]) + 255) % 255
-	}
-	if p >= r.n {
-		return cw[:r.k], Detected
-	}
-	// Verify the hypothesis against all syndromes.
-	for j := range syn {
-		if syn[j] != r.f.Mul(e, r.f.Exp(j*p)) {
-			return cw[:r.k], Detected
-		}
-	}
-	cw[r.n-1-p] ^= e
-	return cw[:r.k], Corrected
-}
-
 // RS16 is a detection-only Reed–Solomon code over GF(2^16): the TSD (Triple
 // Symbol Detect) configuration from Multi-ECC the paper equips Dvé with. Its
 // r=3 16-bit check symbols detect any 3 corrupted symbols with certainty and
@@ -151,12 +104,6 @@ func NewRS16(n, k int) *RS16 {
 	}
 	return &RS16{f: NewGF16b(), n: n, k: k}
 }
-
-// N and K report the geometry.
-func (r *RS16) N() int { return r.n }
-
-// K reports the data symbol count.
-func (r *RS16) K() int { return r.k }
 
 // Encode appends r check symbols chosen so that all syndromes are zero.
 // For detection-only use, the check symbols are the syndromes of data||0s:

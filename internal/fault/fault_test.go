@@ -173,29 +173,6 @@ func TestMonteCarloDetectionGuarantees(t *testing.T) {
 	}
 }
 
-func TestMonteCarloChipkill(t *testing.T) {
-	// Single chip: always corrected back to the truth.
-	res := MeasureChipkillDecode(18, 16, 1, 500, 14)
-	if res.Corrected != res.Trials {
-		t.Fatalf("Chipkill corrected %d/%d single-chip trials", res.Corrected, res.Trials)
-	}
-	// Two chips: mostly detected, some miscorrected (the correction/
-	// detection trade of Section II).
-	res2 := MeasureChipkillDecode(18, 16, 2, 2000, 15)
-	if res2.Detected == 0 {
-		t.Fatal("no 2-chip errors detected")
-	}
-	if res2.Corrected > 0 {
-		t.Fatal("2-chip errors cannot be genuinely corrected by SSC")
-	}
-	if res2.MissRate() > 0.10 {
-		t.Fatalf("2-chip miss+miscorrect rate %v too high", res2.MissRate())
-	}
-	if res.MissRate() != 0 {
-		t.Fatal("single-chip trials must have zero miss rate")
-	}
-}
-
 func TestAddRemoveUpdateLifecycle(t *testing.T) {
 	s, _ := newSet(CodeTSD)
 	id := s.Add(Fault{Kind: Cell, Socket: 0, Addr: 64, Transient: true})

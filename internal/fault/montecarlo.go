@@ -15,11 +15,9 @@ import (
 
 // CoverageResult summarises one measurement.
 type CoverageResult struct {
-	Trials       int
-	Missed       int // undetected (silent) corruptions
-	Miscorrected int // "corrected" to the wrong data (SSC decoders only)
-	Detected     int
-	Corrected    int
+	Trials   int
+	Missed   int // undetected (silent) corruptions
+	Detected int
 }
 
 // MissRate returns the fraction of trials whose corruption went undetected.
@@ -27,7 +25,7 @@ func (c CoverageResult) MissRate() float64 {
 	if c.Trials == 0 {
 		return 0
 	}
-	return float64(c.Missed+c.Miscorrected) / float64(c.Trials)
+	return float64(c.Missed) / float64(c.Trials)
 }
 
 // MeasureRS256Detection corrupts k distinct symbols with random nonzero
@@ -47,44 +45,6 @@ func MeasureRS256Detection(n, k, symbols, trials int, seed int64) CoverageResult
 			res.Detected++
 		} else {
 			res.Missed++
-		}
-	}
-	return res
-}
-
-// MeasureChipkillDecode corrupts `symbols` chips and runs the SSC decoder,
-// classifying each trial as corrected (back to the truth), detected, missed,
-// or miscorrected.
-func MeasureChipkillDecode(n, k, symbols, trials int, seed int64) CoverageResult {
-	rs := ecc.NewRS256(n, k)
-	r := rand.New(rand.NewSource(seed))
-	res := CoverageResult{Trials: trials}
-	data := make([]byte, k)
-	for t := 0; t < trials; t++ {
-		r.Read(data)
-		cw := rs.Encode(data)
-		for _, p := range r.Perm(n)[:symbols] {
-			cw[p] ^= byte(1 + r.Intn(255))
-		}
-		out, outcome := rs.DecodeSSC(cw)
-		same := true
-		for i := range data {
-			if out[i] != data[i] {
-				same = false
-				break
-			}
-		}
-		switch {
-		case outcome == ecc.OK && same && symbols == 0:
-			res.Corrected++
-		case outcome == ecc.OK && !same:
-			res.Missed++ // corruption produced another valid codeword
-		case outcome == ecc.Corrected && same:
-			res.Corrected++
-		case outcome == ecc.Corrected && !same:
-			res.Miscorrected++
-		default:
-			res.Detected++
 		}
 	}
 	return res

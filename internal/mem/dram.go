@@ -89,9 +89,6 @@ type Controller struct {
 // loss of a whole memory controller (the largest blast radius of Fig 2).
 func (mc *Controller) Kill() { mc.dead = true }
 
-// Dead reports whether the controller has been killed.
-func (mc *Controller) Dead() bool { return mc.dead }
-
 // NewController builds the memory controller for a socket.
 func NewController(eng *sim.Engine, cfg *topology.Config, amap *topology.AddrMap, socket int) *Controller {
 	mc := &Controller{

@@ -216,11 +216,11 @@ func TestRowHammerDetection(t *testing.T) {
 	if mc.HammeredRows == 0 {
 		t.Fatal("hammered row not flagged")
 	}
-	if !mc.HammerRisk(0) && !mc.HammerRisk(rowStride) {
-		t.Fatal("HammerRisk false for a hammered row")
+	if !hammered(mc, 0) && !hammered(mc, rowStride) {
+		t.Fatal("hammered row below the threshold")
 	}
-	if mc.HammerRisk(topology.Addr(2 * uint64(rowStride))) {
-		t.Fatal("HammerRisk true for an untouched row")
+	if hammered(mc, topology.Addr(2*uint64(rowStride))) {
+		t.Fatal("untouched row at the threshold")
 	}
 }
 
@@ -239,7 +239,7 @@ func TestHammerWindowResetsOnRefresh(t *testing.T) {
 	eng.Run()
 	// After a full retention window (tREFW) the counters restart.
 	eng.RunUntil(eng.Now() + sim.Cycle(cfg.Cycles(tREFIns))*ticksPerREFW + 10)
-	if mc.HammerRisk(0) {
+	if hammered(mc, 0) {
 		t.Fatal("hammer window not cleared by refresh")
 	}
 }

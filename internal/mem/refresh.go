@@ -116,30 +116,3 @@ func (mc *Controller) noteActivate(ch int, co topology.DRAMCoord) bool {
 
 // hammerKey identifies a row within its channel.
 func hammerKey(co topology.DRAMCoord) uint64 { return uint64(co.Bank)<<48 | co.Row }
-
-// activations returns a row's count in the current window (0 if absent).
-func (mc *Controller) activations(co topology.DRAMCoord) uint32 {
-	if p := mc.hammer[co.Channel].Get(hammerKey(co)); p != nil {
-		return *p
-	}
-	return 0
-}
-
-// ActivationsInWindow returns a row's activation count so far in the
-// current refresh window (0 when refresh tracking is off). Campaign tests
-// use it to audit where aggressor activations actually landed.
-func (mc *Controller) ActivationsInWindow(co topology.DRAMCoord) uint32 {
-	if !mc.refreshOn || mc.hammer == nil {
-		return 0
-	}
-	return mc.activations(co)
-}
-
-// HammerRisk reports whether an address's row is currently beyond the
-// hammer threshold; Dvé-aware callers can divert such reads to the replica.
-func (mc *Controller) HammerRisk(a topology.Addr) bool {
-	if !mc.refreshOn || mc.hammer == nil {
-		return false
-	}
-	return mc.activations(mc.amap.Decode(a)) >= mc.hammerThreshold()
-}

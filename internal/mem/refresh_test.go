@@ -64,12 +64,12 @@ func TestHammerWindowClearRearms(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("first window fired %d, want 2", fired)
 	}
-	if mc.ActivationsInWindow(topology.DRAMCoord{}) == 0 {
+	if activations(mc, topology.DRAMCoord{}) == 0 {
 		t.Fatal("activation count invisible before the window clears")
 	}
 
 	eng.RunUntil(eng.Now() + refreshWindow(cfg) + 10)
-	if got := mc.ActivationsInWindow(topology.DRAMCoord{}); got != 0 {
+	if got := activations(mc, topology.DRAMCoord{}); got != 0 {
 		t.Fatalf("window clear left %d activations on row 0", got)
 	}
 	alternate(mc, cfg, 2*8+2)
@@ -144,4 +144,18 @@ func TestHammerCrossingsDeterministic(t *testing.T) {
 			t.Fatalf("firing %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// activations reads a row's count in the current refresh window.
+func activations(mc *Controller, co topology.DRAMCoord) uint32 {
+	if p := mc.hammer[co.Channel].Get(hammerKey(co)); p != nil {
+		return *p
+	}
+	return 0
+}
+
+// hammered reports whether an address's row has reached the hammer
+// threshold in the current refresh window.
+func hammered(mc *Controller, a topology.Addr) bool {
+	return activations(mc, mc.amap.Decode(a)) >= mc.hammerThreshold()
 }

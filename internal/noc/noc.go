@@ -113,9 +113,6 @@ func NewLink(engs [2]*sim.Engine, pe *sim.ParallelEngine, latency sim.Cycle) (*L
 	return &Link{engs: engs, pe: pe, latency: latency}, nil
 }
 
-// Latency returns the configured one-way propagation latency.
-func (l *Link) Latency() sim.Cycle { return l.latency }
-
 // MinLatency returns the minimum sender-to-delivery distance of any message:
 // one serialization cycle plus the propagation latency. This is the bound
 // the parallel engine may use as its epoch lookahead window.

@@ -212,7 +212,7 @@ func TestLinkLatencyFromConfig(t *testing.T) {
 	c := topology.Default(topology.ProtoDeny)
 	eng := sim.NewEngine()
 	l := sharedLink(t, eng, sim.Cycle(c.InterSocketCyc()))
-	if l.Latency() != 150 {
-		t.Fatalf("link latency = %d, want 150", l.Latency())
+	if l.latency != 150 {
+		t.Fatalf("link latency = %d, want 150", l.latency)
 	}
 }

@@ -209,12 +209,6 @@ func (l *Logger) Emit(lv Level, comp, event string, ev Event) {
 // Debug emits at Debug level.
 func (l *Logger) Debug(comp, event string, ev Event) { l.Emit(Debug, comp, event, ev) }
 
-// Info emits at Info level.
-func (l *Logger) Info(comp, event string, ev Event) { l.Emit(Info, comp, event, ev) }
-
-// Warn emits at Warn level.
-func (l *Logger) Warn(comp, event string, ev Event) { l.Emit(Warn, comp, event, ev) }
-
 // Error emits at Error level.
 func (l *Logger) Error(comp, event string, ev Event) { l.Emit(Error, comp, event, ev) }
 

@@ -23,8 +23,8 @@ func TestEmitStampsAndRings(t *testing.T) {
 	l := New(Options{Min: Info, Clock: c.now, BaseMicros: 1_000_000, Ring: 4})
 
 	l.Debug("queue", "ignored", Event{}) // below min: not recorded
-	l.Info("queue", "enqueued", Event{Sweep: "s1", Cell: "s1/c0", Key: "k0", N: 3})
-	l.Warn("worker", "lease_expired", Event{Lease: 7, Worker: "w1", Attempt: 2})
+	l.Emit(Info, "queue", "enqueued", Event{Sweep: "s1", Cell: "s1/c0", Key: "k0", N: 3})
+	l.Emit(Warn, "worker", "lease_expired", Event{Lease: 7, Worker: "w1", Attempt: 2})
 
 	got := l.Recent()
 	if len(got) != 2 {
@@ -51,7 +51,7 @@ func TestEmitStampsAndRings(t *testing.T) {
 func TestRingOverwritesOldest(t *testing.T) {
 	l := New(Options{Ring: 3})
 	for i := 0; i < 7; i++ {
-		l.Info("c", "e", Event{N: uint64(i)})
+		l.Emit(Info, "c", "e", Event{N: uint64(i)})
 	}
 	got := l.Recent()
 	if len(got) != 3 {
@@ -67,7 +67,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 func TestNilLoggerIsSafe(t *testing.T) {
 	var l *Logger
 	l.Emit(Error, "c", "e", Event{})
-	l.Info("c", "e", Event{})
+	l.Emit(Info, "c", "e", Event{})
 	if l.On(Error) {
 		t.Error("nil logger reports On(Error) = true")
 	}
@@ -109,8 +109,8 @@ func (failSink) WriteEvent(*Event) error { return errors.New("disk full") }
 
 func TestSinkFailureCounted(t *testing.T) {
 	l := New(Options{Sink: failSink{}})
-	l.Info("c", "e", Event{})
-	l.Info("c", "e", Event{})
+	l.Emit(Info, "c", "e", Event{})
+	l.Emit(Info, "c", "e", Event{})
 	if got := l.SinkFailures(); got != 2 {
 		t.Errorf("SinkFailures() = %d, want 2", got)
 	}
@@ -145,7 +145,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Info("worker", "heartbeat", Event{Lease: uint64(g*1000 + i)})
+				l.Emit(Info, "worker", "heartbeat", Event{Lease: uint64(g*1000 + i)})
 				if i%50 == 0 {
 					l.Recent()
 				}
@@ -168,7 +168,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 	quiet := New(Options{Min: Error})
 
 	if n := testing.AllocsPerRun(200, func() {
-		nilLogger.Info("queue", "enqueued", Event{Sweep: "s", Cell: "c", Lease: 1, Key: "k", N: 2})
+		nilLogger.Emit(Info, "queue", "enqueued", Event{Sweep: "s", Cell: "c", Lease: 1, Key: "k", N: 2})
 	}); n != 0 {
 		t.Errorf("nil logger emit allocates %v/op, want 0", n)
 	}

@@ -209,19 +209,3 @@ func (h *HammerState) observe(kind string, socket int, l topology.Line) {
 		}
 	}
 }
-
-// ActiveFlips returns how many injected flips are still uncleared.
-func (h *HammerState) ActiveFlips() int {
-	seen := make(map[fault.ID]bool)
-	n := 0
-	for _, fl := range h.active {
-		if seen[fl.id] {
-			continue
-		}
-		seen[fl.id] = true
-		if _, live := h.set.Get(fl.id); live {
-			n++
-		}
-	}
-	return n
-}

@@ -8,10 +8,7 @@
 // reliability model permits them.
 package ras
 
-import (
-	"encoding/json"
-	"io"
-)
+import "encoding/json"
 
 // Event is one entry of the RAS journal. Cycle is simulated time; Kind is
 // either a coherence.Ev* recovery-path kind or an injector lifecycle kind
@@ -57,27 +54,7 @@ func (j *Journal) Count(kind string) int {
 // Len returns the number of journaled events.
 func (j *Journal) Len() int { return len(j.Events) }
 
-// FirstIndex returns the index of the first event of the kind, or -1.
-func (j *Journal) FirstIndex(kind string) int {
-	for i := range j.Events {
-		if j.Events[i].Kind == kind {
-			return i
-		}
-	}
-	return -1
-}
-
 // Bytes renders the journal as deterministic, indented JSON.
 func (j *Journal) Bytes() ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
-}
-
-// WriteTo writes the JSON journal to w.
-func (j *Journal) WriteTo(w io.Writer) (int64, error) {
-	b, err := j.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	return int64(n), err
 }

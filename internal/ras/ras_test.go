@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dve/internal/coherence"
@@ -80,7 +81,7 @@ func TestTransientRepairEndToEnd(t *testing.T) {
 	// its line. (Replica-copy recoveries journal a shorter detect → recover
 	// → repair sequence — the home divert is itself the retry — so anchor
 	// on the first repair-ok, which only the home ladder emits.)
-	ri := j.FirstIndex(coherence.EvRepairOK)
+	ri := slices.IndexFunc(j.Events, func(ev Event) bool { return ev.Kind == coherence.EvRepairOK })
 	if ri < 0 {
 		t.Fatal("no verified repair journaled")
 	}

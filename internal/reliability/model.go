@@ -2,11 +2,10 @@
 // model. Rates are expressed per billion hours of operation, using a uniform
 // DRAM device FIT rate (66.1, from Sridharan & Liberty's field study) and a
 // scrub-interval window factor for coincident failures. The model reproduces
-// every row of Table I, including the Arrhenius-scaled thermal variants and
-// the risk-inverse mapping comparison against Intel-style mirroring.
+// every row of Table I, including the thermal variants (a linear per-chip
+// FIT step across the DIMM's temperature gradient) and the risk-inverse
+// mapping comparison against Intel-style mirroring.
 package reliability
-
-import "math"
 
 // Rates are failure rates per billion hours of operation.
 type Rates struct {
@@ -130,16 +129,6 @@ func ThermalFITs(base, step float64, chips int) []float64 {
 		out[i] = base + float64(i)*step
 	}
 	return out
-}
-
-// Arrhenius scales a FIT rate from a reference temperature to an operating
-// temperature using the Arrhenius acceleration model with activation energy
-// ea (eV). Temperatures are in °C.
-func Arrhenius(fit, refC, tempC, ea float64) float64 {
-	const kB = 8.617e-5 // eV/K
-	tr := refC + 273.15
-	to := tempC + 273.15
-	return fit * math.Exp(ea/kB*(1/tr-1/to))
 }
 
 // ChipkillThermal evaluates the baseline under non-uniform per-chip FITs:

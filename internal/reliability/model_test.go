@@ -126,21 +126,6 @@ func TestRiskInverseAlwaysAtLeastAsGood(t *testing.T) {
 	}
 }
 
-func TestArrhenius(t *testing.T) {
-	// Higher temperature must raise the FIT; equal temperature is identity.
-	if Arrhenius(66.1, 55, 55, 0.5) != 66.1 {
-		t.Fatal("Arrhenius identity broken")
-	}
-	hot := Arrhenius(66.1, 55, 65, 0.5)
-	if hot <= 66.1 {
-		t.Fatalf("Arrhenius(65C) = %v, want > 66.1", hot)
-	}
-	cold := Arrhenius(66.1, 55, 45, 0.5)
-	if cold >= 66.1 {
-		t.Fatalf("Arrhenius(45C) = %v, want < 66.1", cold)
-	}
-}
-
 func TestDesignPoints(t *testing.T) {
 	pts := DesignPoints(Default())
 	if len(pts) != 3 {

@@ -79,9 +79,10 @@ func TestDispatchProbeDisabledAllocs(t *testing.T) {
 func TestDaemonScheduleSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	var ticks uint64
+	tick := func() { ticks++ }
 	batch := func() {
 		// A daemon heartbeat plus the demand events that keep Run alive.
-		e.ScheduleDaemonFn(1, addHandler, &ticks, 1)
+		e.ScheduleDaemon(1, tick)
 		for i := 0; i < 256; i++ {
 			e.ScheduleFn(benchDelays[i%len(benchDelays)], addHandler, &ticks, 0)
 		}

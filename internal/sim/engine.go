@@ -112,8 +112,6 @@ type Engine struct {
 	// demand counts queued non-daemon events; Run returns when it reaches
 	// zero even if daemon events (refresh ticks, monitors) remain.
 	demand int
-	// stopped reports whether Stop was called during the current Run.
-	stopped bool
 
 	// OnDispatch, when non-nil, observes every dispatched event just before
 	// its handler runs: the advanced clock and the remaining queue depth.
@@ -152,11 +150,6 @@ func (e *Engine) ScheduleDaemon(delay Cycle, fn func()) {
 	e.push(e.now+delay, runClosure, fn, 0, true)
 }
 
-// ScheduleDaemonFn is the allocation-free fast path of ScheduleDaemon.
-func (e *Engine) ScheduleDaemonFn(delay Cycle, h Handler, arg any, v uint64) {
-	e.push(e.now+delay, h, arg, v, true)
-}
-
 // At runs fn at the given absolute cycle, which must not be in the past.
 func (e *Engine) At(when Cycle, fn func()) {
 	if when < e.now {
@@ -175,9 +168,6 @@ func (e *Engine) AtFn(when Cycle, h Handler, arg any, v uint64) {
 	e.push(when, h, arg, v, false)
 }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.size }
-
 // NextEventTime returns the cycle of the earliest pending event, or
 // ok=false on an empty queue. The parallel engine uses it to size epochs:
 // the global minimum across partitions anchors the lookahead window.
@@ -194,14 +184,10 @@ func (e *Engine) NextEventTime() (Cycle, bool) {
 	return e.nextEventCycle(), true
 }
 
-// Stop makes the current Run/RunUntil return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It returns
-// the cycle of the last executed event.
+// Run executes events until no demand event is left queued. It returns the
+// cycle of the last executed event.
 func (e *Engine) Run() Cycle {
-	e.stopped = false
-	for e.size > 0 && e.demand > 0 && !e.stopped {
+	for e.size > 0 && e.demand > 0 {
 		n, _ := e.pop(0, false)
 		if !n.daemon {
 			e.demand--
@@ -215,11 +201,10 @@ func (e *Engine) Run() Cycle {
 }
 
 // RunUntil executes events with time <= limit. Events beyond the limit stay
-// queued. It returns the current cycle (== limit unless the queue drained or
-// Stop was called first).
+// queued. It returns the current cycle (== limit unless the queue drained
+// first).
 func (e *Engine) RunUntil(limit Cycle) Cycle {
-	e.stopped = false
-	for e.size > 0 && !e.stopped {
+	for e.size > 0 {
 		n, ok := e.pop(limit, true)
 		if !ok {
 			e.now = limit

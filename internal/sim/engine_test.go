@@ -48,28 +48,12 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 5 {
 		t.Fatalf("Now() = %d, want 5", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
+	if e.size != 2 {
+		t.Fatalf("%d events queued, want 2", e.size)
 	}
 	e.Run()
 	if fired != 5 || e.Now() != 20 {
 		t.Fatalf("after Run: fired=%d now=%d", fired, e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(1, func() { fired++; e.Stop() })
-	e.Schedule(2, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt)", fired)
-	}
-	// A later Run resumes.
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after resume", fired)
 	}
 }
 

@@ -143,15 +143,12 @@ func (pe *ParallelEngine) checkLookahead(src int, when Cycle) {
 }
 
 // nextEpoch computes the next epoch's inclusive end, or ok=false when all
-// demanded work (everywhere) has drained or a partition was stopped. Cross
-// events merged at the previous barrier are already in their destination
-// queues, so the demand sum sees in-flight link messages.
+// demanded work (everywhere) has drained. Cross events merged at the
+// previous barrier are already in their destination queues, so the demand
+// sum sees in-flight link messages.
 func (pe *ParallelEngine) nextEpoch() (end Cycle, ok bool) {
 	demand := 0
 	for _, p := range pe.parts {
-		if p.stopped {
-			return 0, false
-		}
 		demand += p.demand
 	}
 	if demand == 0 {

@@ -6,15 +6,14 @@ import (
 )
 
 // refQueue is the engine's specification as the plainest possible model: a
-// slice searched for its (when, seq) minimum, with the same demand/daemon,
-// Stop and RunUntil rules as Engine.
+// slice searched for its (when, seq) minimum, with the same demand/daemon
+// and RunUntil rules as Engine.
 type refQueue struct {
-	now     Cycle
-	seq     uint64
-	demand  int
-	stopped bool
-	evs     []refEvent
-	fire    func(id uint64)
+	now    Cycle
+	seq    uint64
+	demand int
+	evs    []refEvent
+	fire   func(id uint64)
 }
 
 type refEvent struct {
@@ -62,15 +61,13 @@ func (q *refQueue) dispatch(i int) {
 }
 
 func (q *refQueue) run() {
-	q.stopped = false
-	for len(q.evs) > 0 && q.demand > 0 && !q.stopped {
+	for len(q.evs) > 0 && q.demand > 0 {
 		q.dispatch(q.min())
 	}
 }
 
 func (q *refQueue) runUntil(limit Cycle) {
-	q.stopped = false
-	for len(q.evs) > 0 && !q.stopped {
+	for len(q.evs) > 0 {
 		i := q.min()
 		if q.evs[i].when > limit {
 			break
@@ -82,14 +79,13 @@ func (q *refQueue) runUntil(limit Cycle) {
 	}
 }
 
-// The six scheduling calls the stream draws from.
+// The five scheduling calls the stream draws from.
 const (
 	apiSchedule = iota
 	apiScheduleFn
 	apiAt
 	apiAtFn
 	apiScheduleDaemon
-	apiScheduleDaemonFn
 	numAPIs
 )
 
@@ -116,7 +112,7 @@ func (m *diffModel) now() Cycle {
 
 func (m *diffModel) pending() int {
 	if m.eng != nil {
-		return m.eng.Pending()
+		return m.eng.size
 	}
 	return len(m.ref.evs)
 }
@@ -130,7 +126,7 @@ func diffDispatch(arg any, v uint64) { arg.(*diffModel).fire(v) }
 func (m *diffModel) put(api int, delay Cycle, gen uint64) {
 	m.nextID++
 	id := m.nextID<<3 | gen
-	daemon := api == apiScheduleDaemon || api == apiScheduleDaemonFn
+	daemon := api == apiScheduleDaemon
 	if m.eng == nil {
 		m.ref.push(m.ref.now+delay, id, daemon)
 		return
@@ -148,24 +144,15 @@ func (m *diffModel) put(api int, delay Cycle, gen uint64) {
 		e.AtFn(e.Now()+delay, diffDispatch, m, id)
 	case apiScheduleDaemon:
 		e.ScheduleDaemon(delay, fn)
-	case apiScheduleDaemonFn:
-		e.ScheduleDaemonFn(delay, diffDispatch, m, id)
 	}
 }
 
 // fire records the event and, as a pure function of its id, schedules
-// children and sometimes stops the run.
+// children.
 func (m *diffModel) fire(id uint64) {
 	m.fired = append(m.fired, firedRec{id, m.now()})
 	h := id*0x9e3779b97f4a7c15 | 1
 	r := xorshift(&h)
-	if r%61 == 0 {
-		if m.eng != nil {
-			m.eng.Stop()
-		} else {
-			m.ref.stopped = true
-		}
-	}
 	gen := id & 7
 	if gen >= 4 {
 		return
@@ -195,8 +182,8 @@ func diffDelay(r uint64) Cycle {
 }
 
 // TestEngineMatchesReferenceQueue drives the engine and the reference
-// queue with one seeded stream of schedules, runs, bounded runs, stops and
-// idle gaps, and requires the same (id, cycle) firing sequence, clock,
+// queue with one seeded stream of schedules, runs, bounded runs and idle
+// gaps, and requires the same (id, cycle) firing sequence, clock,
 // queue depth and next event time after every phase.
 func TestEngineMatchesReferenceQueue(t *testing.T) {
 	for _, seed := range []uint64{1, 0x5eed, 0xfeedface} {

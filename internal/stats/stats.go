@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -247,29 +246,6 @@ type Table struct {
 	Title   string
 	Schemes []string
 	Rows    []Row
-}
-
-// SortByMPKI orders rows by descending MPKI, matching the paper's x-axis.
-func (t *Table) SortByMPKI() {
-	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i].MPKI > t.Rows[j].MPKI })
-}
-
-// GeomeanTop returns per-scheme geometric means over the first n rows.
-func (t *Table) GeomeanTop(n int) map[string]float64 {
-	if n > len(t.Rows) {
-		n = len(t.Rows)
-	}
-	out := make(map[string]float64, len(t.Schemes))
-	for _, s := range t.Schemes {
-		vals := make([]float64, 0, n)
-		for _, r := range t.Rows[:n] {
-			if v, ok := r.Values[s]; ok {
-				vals = append(vals, v)
-			}
-		}
-		out[s] = Geomean(vals)
-	}
-	return out
 }
 
 // String renders the table in a fixed-width layout with geomean rows for

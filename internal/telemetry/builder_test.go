@@ -214,7 +214,7 @@ func TestLabeledGaugeExposition(t *testing.T) {
 		t.Errorf("labeled gauge exposition fails validation: %v", err)
 	}
 	snap := reg.Snapshot()
-	if v, ok := snap.Get(`dve_test_node_depth{node="w1"}`); !ok || v != 3 {
+	if v, ok := sample(snap, `dve_test_node_depth{node="w1"}`); !ok || v != 3 {
 		t.Errorf("snapshot sample = %v,%v want 3,true", v, ok)
 	}
 }

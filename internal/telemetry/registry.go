@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"dve/internal/stats"
 )
@@ -232,25 +231,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Sample{Name: m.name + "_max", Value: float64(h.Max())},
 		)
 	}
-	return out
-}
-
-// Get returns the sample with the given name, or false. Linear scan — the
-// snapshot is small and this is a test/reporting helper.
-func (s Snapshot) Get(name string) (float64, bool) {
-	for i := range s {
-		if s[i].Name == name {
-			return s[i].Value, true
-		}
-	}
-	return 0, false
-}
-
-// Sorted returns a name-ordered copy (for table rendering).
-func (s Snapshot) Sorted() Snapshot {
-	out := make(Snapshot, len(s))
-	copy(out, s)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -368,10 +368,10 @@ func TestCountersSnapshotDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(s1, s2) {
 		t.Error("two snapshots of the same counters differ")
 	}
-	if v, ok := s1.Get("dve_ops_total"); !ok || v != 100 {
+	if v, ok := sample(s1, "dve_ops_total"); !ok || v != 100 {
 		t.Errorf("dve_ops_total = %v,%v want 100,true", v, ok)
 	}
-	if v, ok := s1.Get("dve_miss_latency_cycles_count"); !ok || v != 1 {
+	if v, ok := sample(s1, "dve_miss_latency_cycles_count"); !ok || v != 1 {
 		t.Errorf("histogram count sample = %v,%v want 1,true", v, ok)
 	}
 	// The snapshot JSON round-trips (the result-cache envelope shape).
@@ -416,4 +416,14 @@ func TestEngineDispatchSubsampling(t *testing.T) {
 	if counters != 5 {
 		t.Errorf("counter events = %d, want 5", counters)
 	}
+}
+
+// sample returns the value of the named sample in s.
+func sample(s Snapshot, name string) (float64, bool) {
+	for i := range s {
+		if s[i].Name == name {
+			return s[i].Value, true
+		}
+	}
+	return 0, false
 }

@@ -37,12 +37,6 @@ func (m *AddrMap) HomeSocket(a Addr) int {
 // HomeSocketLine is HomeSocket for a line address.
 func (m *AddrMap) HomeSocketLine(l Line) int { return m.HomeSocket(Addr(l)) }
 
-// ReplicaSocket returns the socket holding the replica for an address. With
-// two sockets the replica lives on the other socket.
-func (m *AddrMap) ReplicaSocket(a Addr) int {
-	return (m.HomeSocket(a) + 1) % m.cfg.Sockets
-}
-
 // ReplicaPage implements the paper's fixed-function mapping
 // f(p) = p/L + 1 - 2*S (Section III, footnote 3): consecutive physical pages
 // interleaved between sockets map to a replica page on the other socket while

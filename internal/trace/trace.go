@@ -306,6 +306,3 @@ func (s *Source) Next(tid int) workload.Op {
 	s.pos[tid] = (s.pos[tid] + 1) % len(ops)
 	return op
 }
-
-// Len returns the number of operations recorded for a thread.
-func (s *Source) Len(tid int) int { return len(s.perThread[tid]) }

@@ -118,7 +118,7 @@ func TestCaptureLoadReplayMatchesGenerator(t *testing.T) {
 	}
 	// The trace's per-thread streams equal the generator's.
 	gen, _ := workload.NewGenerator(spec)
-	for i := 0; i < src.Len(0); i++ {
+	for i := 0; i < len(src.perThread[0]); i++ {
 		want := gen.Next(0)
 		if want.Compute > 0xFFFF {
 			want.Compute = 0xFFFF
@@ -140,7 +140,7 @@ func TestSourceWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := src.Len(0)
+	n := len(src.perThread[0])
 	first := src.Next(0)
 	for i := 1; i < n; i++ {
 		src.Next(0)
@@ -208,7 +208,7 @@ func TestCaptureReportsClampedCompute(t *testing.T) {
 	}
 	ceil := 0
 	for tid := 0; tid < 2; tid++ {
-		for i := 0; i < src.Len(tid); i++ {
+		for i := 0; i < len(src.perThread[tid]); i++ {
 			if op := src.Next(tid); op.Compute == 0xFFFF {
 				ceil++
 			}

@@ -239,17 +239,3 @@ func (h *HammerSource) Next(tid int) Op {
 	}
 	return h.victim.Next(tid)
 }
-
-// Ladder exposes the aggressor addresses (tests and campaign reports).
-func (h *HammerSource) Ladder() []topology.Addr { return h.ladder }
-
-// Groups exposes the per-core eviction sets; group g is walked by threads
-// with tid%len(groups) == g.
-func (h *HammerSource) Groups() [][]topology.Addr { return h.groups }
-
-// VictimRow returns the home socket and DRAM coordinate of the targeted hot
-// victim row (zero values when the aggressor is disarmed).
-func (h *HammerSource) VictimRow() (int, topology.DRAMCoord) { return h.hotSocket, h.hotRow }
-
-// Victim returns the wrapped victim generator's spec.
-func (h *HammerSource) Victim() Spec { return h.victim.Spec() }

@@ -22,16 +22,16 @@ func TestHammerLadderGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}
-		groups := h.Groups()
+		groups := h.groups
 		if len(groups) == 0 || len(groups) > cfg.CoresPerSocket {
 			t.Fatalf("%v: %d groups, want 1..%d", proto, len(groups), cfg.CoresPerSocket)
 		}
-		if want := len(groups) * (cfg.LLCWays + 1); len(h.Ladder()) != want {
-			t.Fatalf("%v: ladder has %d rungs, want %d", proto, len(h.Ladder()), want)
+		if want := len(groups) * (cfg.LLCWays + 1); len(h.ladder) != want {
+			t.Fatalf("%v: ladder has %d rungs, want %d", proto, len(h.ladder), want)
 		}
 		amap := topology.NewAddrMap(&cfg)
 		llcSets := uint64(cfg.LLCSizeBytes / cfg.LLCWays / cfg.LineSizeBytes)
-		first := amap.Decode(h.Ladder()[0])
+		first := amap.Decode(h.ladder[0])
 		rows := map[uint64]bool{}
 		seenSets := map[uint64]bool{}
 		for g, grp := range groups {
@@ -69,12 +69,12 @@ func TestHammerDoubleSidedPairsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := h.Groups()
+	groups := h.groups
 	if len(groups) < 2 {
 		t.Fatalf("double-sided hammer built %d groups, want at least one per side", len(groups))
 	}
 	amap := topology.NewAddrMap(&cfg)
-	_, hot := h.VictimRow()
+	hot := h.hotRow
 	// Even groups hammer from above the hot row, odd groups from below: the
 	// victim row is bracketed (groups 0 and 1 are its immediate neighbours).
 	for g, grp := range groups {
@@ -139,7 +139,7 @@ func TestHammerIntensityMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	onLadder := map[topology.Addr]bool{}
-	for _, a := range h.Ladder() {
+	for _, a := range h.ladder {
 		onLadder[a] = true
 	}
 	const n = 50_000
@@ -175,27 +175,27 @@ func TestHammerTargetsHotVictimRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	socket, hot := single.VictimRow()
+	socket, hot := single.hotSocket, single.hotRow
 	if hot.Row < 2 {
 		t.Fatalf("hot victim row %d leaves no room for the lower aggressor", hot.Row)
 	}
-	rung0 := amap.Decode(single.Ladder()[0])
+	rung0 := amap.Decode(single.ladder[0])
 	if rung0.Row != hot.Row+1 || rung0.Bank != hot.Bank || rung0.Channel != hot.Channel {
 		t.Fatalf("single-sided rung0 %+v does not neighbour hot row %+v", rung0, hot)
 	}
-	if got := amap.HomeSocket(single.Ladder()[0]); got != socket {
+	if got := amap.HomeSocket(single.ladder[0]); got != socket {
 		t.Fatalf("ladder homed on socket %d, hot row on socket %d", got, socket)
 	}
 
 	// The hot row must actually be touched by the victim's own stream
 	// prefix (that is what makes the flips observable).
-	g, err := NewGenerator(single.Victim())
+	g, err := NewGenerator(single.victim.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	touched := false
 	for i := 0; i < 256 && !touched; i++ {
-		for tid := 0; tid < single.Victim().Threads; tid++ {
+		for tid := 0; tid < single.victim.spec.Threads; tid++ {
 			op := g.Next(tid)
 			if op.Kind == Barrier {
 				continue
@@ -214,9 +214,9 @@ func TestHammerTargetsHotVictimRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dhot := double.VictimRow()
-	hi := amap.Decode(double.Groups()[0][0])
-	lo := amap.Decode(double.Groups()[1][0])
+	dhot := double.hotRow
+	hi := amap.Decode(double.groups[0][0])
+	lo := amap.Decode(double.groups[1][0])
 	if lo.Row != dhot.Row-1 || hi.Row != dhot.Row+1 {
 		t.Fatalf("double-sided base rows %d,%d do not bracket hot row %d", lo.Row, hi.Row, dhot.Row)
 	}

@@ -212,26 +212,11 @@ func (g *Generator) rwAddr(w uint64) topology.Addr {
 	return topology.Addr(sharedBase + slot*rwSlotStride*lineBytes + (w%wpl)*wordBytes)
 }
 
-// ClassOf reports the sharing class of an address: 0 private, 1 shared
-// read-only, 2 shared read-write.
-func ClassOf(a topology.Addr) uint8 {
-	if uint64(a) >= privBase {
-		return 0
-	}
-	if (uint64(a)/lineBytes)%rwSlotStride == 0 {
-		return 2
-	}
-	return 1
-}
-
 // scramble spreads Zipf ranks over the word space so the hot set is not one
 // contiguous run of lines (Fibonacci hashing).
 func scramble(rank, n uint64) uint64 {
 	return (rank * 0x9E3779B97F4A7C15) % n
 }
-
-// Spec returns the generator's spec.
-func (g *Generator) Spec() Spec { return g.spec }
 
 // Next produces thread tid's next operation. The stream is deterministic
 // per (Seed, tid).

@@ -111,7 +111,7 @@ func TestGeneratorMixMatchesSpec(t *testing.T) {
 		if op.Kind == Write {
 			writes++
 		}
-		switch ClassOf(op.Addr) {
+		switch classOf(op.Addr) {
 		case 0:
 			priv++
 		case 2:
@@ -138,7 +138,7 @@ func TestROIsNeverWritten(t *testing.T) {
 	g, _ := NewGenerator(spec)
 	for i := 0; i < 50_000; i++ {
 		op := g.Next(0)
-		if op.Kind == Write && ClassOf(op.Addr) == 1 {
+		if op.Kind == Write && classOf(op.Addr) == 1 {
 			t.Fatalf("write to shared read-only region at %#x", op.Addr)
 		}
 	}
@@ -151,7 +151,7 @@ func TestPrivateRegionsDisjoint(t *testing.T) {
 	for tid := 0; tid < 8; tid++ {
 		for i := 0; i < 10_000; i++ {
 			op := g.Next(tid)
-			if ClassOf(op.Addr) != 0 {
+			if classOf(op.Addr) != 0 {
 				continue
 			}
 			if prev, ok := seen[op.Addr]; ok && prev != tid {
@@ -220,4 +220,16 @@ func TestHashSeedStable(t *testing.T) {
 	if hashSeed("fft") == hashSeed("lbm") {
 		t.Fatal("hashSeed collides on suite names")
 	}
+}
+
+// classOf reports the sharing class of an address: 0 private, 1 shared
+// read-only, 2 shared read-write.
+func classOf(a topology.Addr) uint8 {
+	if uint64(a) >= privBase {
+		return 0
+	}
+	if (uint64(a)/lineBytes)%rwSlotStride == 0 {
+		return 2
+	}
+	return 1
 }
